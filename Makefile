@@ -5,15 +5,10 @@
 GO ?= go
 
 # Shared flags for the regression-smoke invocations below: two
-# benchmarks at reduced scale through the worker pool. -shards is pinned
-# to 1 so the host-cost gates compare like-for-like against the
-# committed baseline regardless of the runner's core count (the smoke
-# traces are small enough that shard fan-out overhead would otherwise
-# dominate); shard-smoke overrides it per invocation — the last -shards
-# on the command line wins.
-SMOKE_ARGS = -scale bench -jobs 4 -only table3 -bench mcf,health -shards 1
+# benchmarks at reduced scale through the worker pool.
+SMOKE_ARGS = -scale bench -jobs 4 -only table3 -bench mcf,health
 
-.PHONY: check fmt vet lint lint-perf build test test-short race bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke shard-smoke perf-smoke explain-smoke clean
+.PHONY: check fmt vet lint lint-perf build test test-short race bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke perf-smoke explain-smoke clean
 
 check: fmt vet lint build race
 
@@ -143,25 +138,6 @@ stream-smoke:
 		echo "stream-smoke: streaming report differs from the in-memory report:"; \
 		diff "$$tmpdir/mem.txt" "$$tmpdir/stream.txt" | head -40; exit 1; \
 	fi
-
-# Sharded-analysis determinism gate: the smoke suite must produce
-# byte-identical reports at every shard count, on both the in-memory
-# and the streaming profile path. This is the merge's contract — shard
-# count paces the analysis, it never changes a reported number.
-shard-smoke:
-	@tmpdir="$$(mktemp -d)"; trap 'rm -rf "$$tmpdir"' EXIT; \
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) -shards 1 > "$$tmpdir/shards1.txt" && \
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) -shards 4 > "$$tmpdir/shards4.txt" && \
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) -shards 8 -stream -stream-chunk 4096 > "$$tmpdir/shards8-stream.txt" || exit 1; \
-	ok=1; \
-	for f in shards4.txt shards8-stream.txt; do \
-		if ! cmp -s "$$tmpdir/shards1.txt" "$$tmpdir/$$f"; then \
-			echo "shard-smoke: $$f differs from the -shards 1 report:"; \
-			diff "$$tmpdir/shards1.txt" "$$tmpdir/$$f" | head -40; ok=0; \
-		fi; \
-	done; \
-	[ $$ok -eq 1 ] || exit 1; \
-	echo "shard-smoke: reports are byte-identical at shards 1, 4, and 8 (stream)"
 
 clean:
 	$(GO) clean ./...

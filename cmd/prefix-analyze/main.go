@@ -8,16 +8,13 @@
 //	prefix-analyze -trace mcf.trace -o mcf.plan.json
 //	prefix-analyze -trace mcf.trace -variant hds -miner sequitur -v
 //	prefix-analyze -trace mcf.trace -stream -o mcf.plan.json
-//	prefix-analyze -trace mcf.trace -stream -shards 8 -o mcf.plan.json
 //	prefix-analyze -trace mcf.trace -ledger mcf.ledger.json  # record every decision
 //	prefix-analyze -trace mcf.trace -trace-out phases.json -metrics-out plan.prom
 //
 // Both trace formats are accepted (the classic header-counted file and
 // the chunked stream prefix-trace -stream writes). With -stream the
 // analysis runs off the file without materializing the event slice, so
-// traces far larger than memory are fine. -shards N decodes and
-// analyzes the trace on N parallel workers (default: one per CPU);
-// the merged analysis is byte-identical to -shards 1.
+// traces far larger than memory are fine.
 package main
 
 import (
@@ -25,7 +22,6 @@ import (
 	"fmt"
 	"os"
 
-	"prefix/internal/obs"
 	"prefix/internal/obsflags"
 	core "prefix/internal/prefix"
 	"prefix/internal/report"
@@ -51,14 +47,10 @@ func run() (err error) {
 		ledger  = flag.String("ledger", "", "record every planning decision (classification, sharing, recycling, placement) and write the ledger JSON to this file")
 		obsf    = obsflags.Register(flag.CommandLine)
 	)
-	obsf.RegisterShards(flag.CommandLine)
 	flag.Parse()
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if obsf.Shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", obsf.Shards)
 	}
 
 	var v core.Variant
@@ -101,31 +93,14 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	prog := sess.Progress()
-	benchName := *bench
-	shardCfg := trace.ShardConfig{
-		Shards: obsf.Shards,
-		Perf:   sess.Perf,
-		Progress: func(ev obs.JobEvent) {
-			ev.Benchmark = benchName
-			prog(ev)
-		},
-	}
 	var a *trace.Analysis
 	if *stream {
-		// Incremental: decode straight off the file. -shards N > 1 decodes
-		// and analyzes chunks on a parallel worker pool; the merged result
-		// is identical to the single-pass analysis.
+		// Incremental: decode straight off the file.
 		anSpan := root.Child("analyze")
-		anSpan.Set("shards", shardCfg.Shards)
-		if obsf.Shards > 1 {
-			a, err = trace.AnalyzeStreamSharded(f, shardCfg)
-		} else {
-			var sr *trace.StreamReader
-			sr, err = trace.NewStreamReader(f)
-			if err == nil {
-				a, err = trace.AnalyzeSource(sr)
-			}
+		var sr *trace.StreamReader
+		sr, err = trace.NewStreamReader(f)
+		if err == nil {
+			a, err = trace.AnalyzeSource(sr)
 		}
 		f.Close()
 		if err != nil {
@@ -147,12 +122,7 @@ func run() (err error) {
 		readSpan.End()
 
 		anSpan := root.Child("analyze")
-		anSpan.Set("shards", shardCfg.Shards)
-		if obsf.Shards > 1 {
-			a = trace.AnalyzeTraceSharded(tr, shardCfg)
-		} else {
-			a = trace.Analyze(tr)
-		}
+		a = trace.Analyze(tr)
 		anSpan.Set("objects", len(a.Objects))
 		anSpan.Set("heap_accesses", a.HeapAccesses)
 		anSpan.End()

@@ -285,6 +285,36 @@ func Leak2() *uint64 {
 	}
 }
 
+// TestCLIEscapeBudgetRecordDropsRemoved: once a package's last
+// annotated function is gone, -record removes its budget entries.
+func TestCLIEscapeBudgetRecordDropsRemoved(t *testing.T) {
+	dir := writeModule(t, map[string]string{"internal/sim/leak.go": escapingSource})
+	budget := filepath.Join(dir, "testdata", "escape-budget.json")
+	record := func() {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-C", dir, "-analyzers", "escapebudget", "-record", "./..."}, &stdout, &stderr); code != 0 {
+			t.Fatalf("record run failed: code=%d\nstderr:\n%s", code, stderr.String())
+		}
+	}
+	record()
+	if data, err := os.ReadFile(budget); err != nil || !strings.Contains(string(data), "prefix/internal/sim.Leak") {
+		t.Fatalf("first record missing the Leak entry (err=%v):\n%s", err, data)
+	}
+	plain := strings.Replace(escapingSource, "//prefix:hotpath\n", "", 1)
+	if err := os.WriteFile(filepath.Join(dir, "internal/sim/leak.go"), []byte(plain), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	record()
+	data, err := os.ReadFile(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "prefix/internal/sim.Leak") {
+		t.Fatalf("record kept the entry of a function no longer annotated:\n%s", data)
+	}
+}
+
 func TestVettoolFlagsHandshake(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {

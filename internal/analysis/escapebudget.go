@@ -74,10 +74,19 @@ type budgetFile struct {
 
 func runEscapeBudget(pass *Pass) error {
 	hot := hotFuncDecls(pass)
+	dir := filepath.Dir(pass.Fset.Position(pass.Files[0].Pos()).Filename)
+	budgetPath := filepath.Join(dir, "escape-budget.json")
+	if _, err := os.Stat(budgetPath); err != nil {
+		budgetPath = EscapeBudgetFile
+	}
 	if len(hot) == 0 {
+		if EscapeBudgetRecord {
+			// Drop entries of functions that were deleted or lost
+			// their annotation.
+			return recordBudget(budgetPath, pass.Pkg.Path(), nil)
+		}
 		return nil
 	}
-	dir := filepath.Dir(pass.Fset.Position(pass.Files[0].Pos()).Filename)
 	diags, err := compileDiagnostics(dir, pass.Files[0].Name.Name == "main")
 	if err != nil {
 		return err
@@ -113,11 +122,6 @@ func runEscapeBudget(pass *Pass) error {
 		sort.Strings(entry.Escapes)
 		current[q] = entry
 		declPos[q] = decl
-	}
-
-	budgetPath := filepath.Join(dir, "escape-budget.json")
-	if _, err := os.Stat(budgetPath); err != nil {
-		budgetPath = EscapeBudgetFile
 	}
 
 	if EscapeBudgetRecord {
@@ -166,17 +170,23 @@ func runEscapeBudget(pass *Pass) error {
 // recordBudget rewrites pkgPath's entries in the budget file, leaving
 // other packages' entries untouched. The output is deterministic
 // (sorted keys, fixed indentation), so two consecutive -record runs
-// over an unchanged tree produce byte-identical files.
+// over an unchanged tree produce byte-identical files. A package with
+// nothing to record and nothing to drop leaves the file alone.
 func recordBudget(path, pkgPath string, current map[string]budgetEntry) error {
 	budget, err := loadBudget(path)
 	if err != nil {
 		return err
 	}
 	prefix := pkgPath + "."
+	dropped := false
 	for q := range budget.Functions {
 		if rest, ok := strings.CutPrefix(q, prefix); ok && !strings.Contains(rest, "/") {
 			delete(budget.Functions, q)
+			dropped = true
 		}
+	}
+	if len(current) == 0 && !dropped {
+		return nil
 	}
 	for q, e := range current {
 		e.noInlineReason = ""

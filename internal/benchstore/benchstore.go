@@ -7,8 +7,8 @@
 // PreFix capture precision, and peak memory — plus, since schema 2, the
 // per-benchmark host cost (wall time, events/sec throughput, heap
 // allocation, GC pauses) and, since schema 4, the analyze stage's own
-// throughput and shard count, so the simulator's own performance
-// trajectory is gated alongside the simulated results.
+// throughput, so the simulator's own performance trajectory is gated
+// alongside the simulated results.
 package benchstore
 
 import (
@@ -79,7 +79,7 @@ type Benchmark struct {
 	Attrib *AttribStats `json:"attrib,omitempty"`
 	// Analysis is the profiling analyze stage's own host cost (schema 4;
 	// nil in older documents and in runs recorded without a perfstat
-	// collector) — the series the sharded-analysis path is gated on.
+	// collector).
 	Analysis *AnalysisStats `json:"analysis,omitempty"`
 }
 
@@ -112,10 +112,11 @@ type AttribStats struct {
 }
 
 // AnalysisStats is the per-benchmark analyze-stage section: what the
-// trace analysis alone cost on the host, and how many shards produced
-// it (1 = the legacy single-pass analyzer). EventsPerSec divides the
-// profiling trace's event count by the stage's wall time — the number
-// the sharded path exists to raise.
+// trace analysis alone cost on the host. EventsPerSec divides the
+// profiling trace's event count by the stage's wall time. Shards is
+// always 1 now that analysis is single-pass; the field stays so schema
+// 4 documents keep their shape, and older snapshots recorded with a
+// sharded analysis still show their shard count.
 type AnalysisStats struct {
 	WallNanos    int64   `json:"wall_nanos"`
 	Events       uint64  `json:"events"`
@@ -188,7 +189,7 @@ func FromComparisons(cmps []*pipeline.Comparison, meta Meta) *Run {
 				WallNanos:    p.AnalysisHost.WallNanos,
 				Events:       p.AnalysisHost.Events,
 				EventsPerSec: p.AnalysisHost.EventsPerSec(),
-				Shards:       p.AnalysisShards,
+				Shards:       1,
 			}
 		}
 		if h := c.Host; h != nil {

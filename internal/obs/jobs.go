@@ -36,14 +36,8 @@ type JobEvent struct {
 	Seed  int `json:"seed"`
 	Seeds int `json:"seeds,omitempty"`
 	// Threads is the evaluated thread count for multithreaded-sweep jobs.
-	Threads int `json:"threads,omitempty"`
-	// Shards marks shard-stage events from the parallel analysis path
-	// (phases "analyze-decode", "analyze-shard", "analyze-merge"): the
-	// shard pool size of the run this worker belongs to. Zero for
-	// regular harness jobs; consumers use it to fold per-shard progress
-	// into /status without printing a stderr line per shard.
-	Shards int      `json:"shards,omitempty"`
-	State  JobState `json:"state"`
+	Threads int      `json:"threads,omitempty"`
+	State   JobState `json:"state"`
 	// Err carries the job's error text on a failed event.
 	Err string `json:"err,omitempty"`
 }
@@ -85,10 +79,9 @@ type JobTracker struct {
 }
 
 // jobKey identifies one tracked job. The benchmark is part of the key
-// because shard-stage phases ("analyze-decode", "analyze-shard",
-// "analyze-merge") reuse worker indexes across concurrently-running
-// benchmarks; harness phases number jobs uniquely, so the extra field
-// is inert for them.
+// so a phase that numbers its jobs per benchmark cannot have one
+// benchmark's job overwrite another's; harness phases number jobs
+// uniquely, so the extra field is inert for them.
 type jobKey struct {
 	phase     string
 	benchmark string
@@ -116,8 +109,9 @@ func (t *JobTracker) SetClock(now func() time.Time) {
 	t.now = now
 }
 
-// Observe records one event. Events for the same (phase, job) pair update
-// the job in place; the first event ever observed starts the run clock.
+// Observe records one event. Events for the same (phase, benchmark,
+// job) update the job in place; the first event ever observed starts
+// the run clock.
 // No-op on a nil tracker, so it can sit unconditionally in a progress
 // callback.
 func (t *JobTracker) Observe(ev JobEvent) {

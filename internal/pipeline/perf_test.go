@@ -105,3 +105,37 @@ func TestPerfScaleMonotone(t *testing.T) {
 		big = runScaled(pc, "scale_big", spec.Profile.Scale*4)
 	}
 }
+
+// TestProfileAnalysisHostSample: with a perfstat collector attached,
+// both profile paths (in-memory and streamed) carry the analyze stage's
+// own host sample over the trace's events; without one it stays nil.
+func TestProfileAnalysisHostSample(t *testing.T) {
+	spec, err := workloads.Get("swissmap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stream := range []bool{false, true} {
+		opt := fastOpt()
+		opt.Stream = stream
+		opt.StreamDir = t.TempDir()
+		prof, err := CollectProfile(spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prof.AnalysisHost != nil {
+			t.Errorf("stream=%v: AnalysisHost recorded without a collector", stream)
+		}
+		opt.Perf = perfstat.New(nil)
+		prof, err = CollectProfile(spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := prof.AnalysisHost
+		if h == nil {
+			t.Fatalf("stream=%v: AnalysisHost not recorded with Perf attached", stream)
+		}
+		if h.Phase != "analyze" || h.Events != prof.Stats.Events || h.Events == 0 {
+			t.Errorf("stream=%v: analysis sample = %+v, want phase analyze over %d events", stream, h, prof.Stats.Events)
+		}
+	}
+}

@@ -78,14 +78,10 @@ type Options struct {
 	// per-benchmark Explain document as each suite job completes; the
 	// obshttp /explain endpoint serves its snapshot.
 	Explain *obs.ExplainStore
-	// Shards selects the analysis path for profiling traces. Values > 1
-	// route the analyze stage through the sharded pool (parallel chunk
-	// decode feeding per-shard analyzers with a deterministic merge),
-	// whose output is identical to the single-pass analyzer's at every
-	// shard count; 0 and 1 select the legacy single-pass path. Shard
-	// workers are bracketed by perfstat scopes ("analyze-decode",
-	// "analyze-shard", "analyze-merge") when Perf is attached and emit
-	// shard-stage JobEvents through Progress.
+	// Shards is ignored.
+	//
+	// Deprecated: trace analysis is always single-pass. The field is
+	// read nowhere and stays only so existing callers keep compiling.
 	Shards int
 	// Stream routes profiling runs through the bounded-memory path: the
 	// machine records into a spill-to-disk chunked trace file and the
@@ -107,21 +103,6 @@ func (o Options) progress(ev obs.JobEvent) {
 	if o.Progress != nil {
 		o.Progress(ev)
 	}
-}
-
-// shardConfig assembles the trace-layer sharding configuration for one
-// benchmark's analyze stage: the shard count, the host-cost collector,
-// and a progress adapter stamping the benchmark name onto the shard
-// workers' JobEvents before forwarding them.
-func (o Options) shardConfig(benchmark string) trace.ShardConfig {
-	cfg := trace.ShardConfig{Shards: o.Shards, Perf: o.Perf}
-	if prog := o.Progress; prog != nil {
-		cfg.Progress = func(ev obs.JobEvent) {
-			ev.Benchmark = benchmark
-			prog(ev)
-		}
-	}
-	return cfg
 }
 
 // instrumentJob brackets one job body with running/done/failed progress
@@ -168,11 +149,9 @@ type Profile struct {
 	Stats trace.RecorderStats
 	// AnalysisHost is the analyze stage's own host-cost sample (wall
 	// time, allocation, events/sec over the trace's events), measured
-	// when Options.Perf is attached; nil otherwise. AnalysisShards is
-	// the shard count the analysis ran with (1 = single-pass). Neither
-	// feeds report output.
-	AnalysisHost   *perfstat.Sample
-	AnalysisShards int
+	// when Options.Perf is attached; nil otherwise. It never feeds
+	// report output.
+	AnalysisHost *perfstat.Sample
 }
 
 // CollectProfile runs the benchmark's profiling input under the tracing
@@ -193,18 +172,7 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 	sc := opt.Perf.Begin("profile").AttachSpan(parent)
 	defer sc.End()
 
-	var (
-		a       *trace.Analysis
-		metrics machine.Metrics
-		stats   trace.RecorderStats
-		anHost  *perfstat.Sample
-		err     error
-	)
-	if opt.Stream {
-		a, metrics, stats, anHost, err = streamProfileRun(spec, opt, parent)
-	} else {
-		a, metrics, stats, anHost = memoryProfileRun(spec, opt, parent)
-	}
+	a, metrics, stats, anHost, err := profileRun(spec, opt, parent)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s streaming profile: %w", name, err)
 	}
@@ -250,111 +218,98 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 		Metrics:         metrics,
 		Stats:           stats,
 		AnalysisHost:    anHost,
-		AnalysisShards:  max(opt.Shards, 1),
 	}, nil
 }
 
-// memoryProfileRun is the reference profiling path: record the whole
-// trace in memory, then analyze it (sharded when Options.Shards > 1).
-func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample) {
+// profileRun runs the profiling input under the tracing machine with
+// the baseline allocator, then analyzes the recorded trace. By default
+// the whole trace is recorded in memory. Options.Stream records through
+// a spill-to-disk recorder into a temporary chunked trace file instead,
+// which is then analyzed as a stream, so trace-buffer memory never
+// exceeds one chunk (StreamChunkEvents events). The analysis is
+// identical either way.
+func profileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample, error) {
+	var (
+		metrics machine.Metrics
+		stats   trace.RecorderStats
+		memRec  *trace.Recorder
+		spill   *trace.SpillRecorder
+		f       *os.File
+		rec     trace.EventRecorder
+		err     error
+	)
 	runSpan := parent.Child("profile-run")
-	rec := trace.NewRecorder()
-	alloc := baselines.NewBaseline(opt.Cache.Cost)
-	m := machine.New(alloc, opt.Cache, machine.WithRecorder(rec))
+	if opt.Stream {
+		if f, err = os.CreateTemp(opt.StreamDir, "prefix-spill-*.pfxt"); err != nil {
+			runSpan.End()
+			return nil, metrics, stats, nil, err
+		}
+		defer func() {
+			f.Close()
+			os.Remove(f.Name())
+		}()
+		if spill, err = trace.NewSpillRecorder(f, opt.StreamChunkEvents); err != nil {
+			runSpan.End()
+			return nil, metrics, stats, nil, err
+		}
+		rec = spill
+	} else {
+		memRec = trace.NewRecorder()
+		rec = memRec
+	}
+	m := machine.New(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, machine.WithRecorder(rec))
 	spec.Program.Run(m, spec.Profile)
-	metrics := m.Finish()
-	tr := rec.Trace()
-	stats := rec.Stats()
-	runSpan.Set("events", len(tr.Events))
+	metrics = m.Finish()
+	if opt.Stream {
+		if err = spill.Close(); err != nil {
+			runSpan.End()
+			return nil, metrics, stats, nil, err
+		}
+		stats = spill.Stats()
+		runSpan.Set("events", stats.Events)
+		runSpan.Set("chunks", stats.Chunks)
+		runSpan.Set("peak_buffered_events", stats.PeakBufferedEvents)
+	} else {
+		stats = memRec.Stats()
+		runSpan.Set("events", stats.Events)
+	}
 	runSpan.End()
 
 	anSpan := parent.Child("analyze")
+	defer anSpan.End()
 	asc := opt.Perf.Begin("analyze").AttachSpan(anSpan)
 	var a *trace.Analysis
-	if opt.Shards > 1 {
-		a = trace.AnalyzeTraceSharded(tr, opt.shardConfig(spec.Program.Name()))
+	if opt.Stream {
+		a, err = analyzeSpill(f)
 	} else {
-		a = trace.Analyze(tr)
+		// Analyze the slice directly: going through its Source would
+		// add an interface call per event.
+		a = trace.Analyze(memRec.Trace())
 	}
 	asc.AddEvents(stats.Events)
 	sample := asc.End()
+	if err != nil {
+		return nil, metrics, stats, nil, err
+	}
 	anSpan.Set("objects", len(a.Objects))
 	anSpan.Set("heap_accesses", a.HeapAccesses)
-	anSpan.Set("shards", max(opt.Shards, 1))
-	anSpan.End()
 	var host *perfstat.Sample
 	if opt.Perf != nil {
 		host = &sample
 	}
-	return a, metrics, stats, host
+	return a, metrics, stats, host, nil
 }
 
-// streamProfileRun is the bounded-memory profiling path: the machine
-// records through a spill-to-disk recorder into a temporary chunked
-// trace file, which is then analyzed as a stream (sharded when
-// Options.Shards > 1 — indexed spill files decode in parallel).
-// Trace-buffer memory never exceeds one chunk (StreamChunkEvents
-// events).
-func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (_ *trace.Analysis, metrics machine.Metrics, stats trace.RecorderStats, host *perfstat.Sample, err error) {
-	runSpan := parent.Child("profile-run")
-	f, err := os.CreateTemp(opt.StreamDir, "prefix-spill-*.pfxt")
-	if err != nil {
-		runSpan.End()
-		return nil, metrics, stats, nil, err
-	}
-	defer func() {
-		f.Close()
-		os.Remove(f.Name())
-	}()
-	rec, err := trace.NewSpillRecorder(f, opt.StreamChunkEvents)
-	if err != nil {
-		runSpan.End()
-		return nil, metrics, stats, nil, err
-	}
-	alloc := baselines.NewBaseline(opt.Cache.Cost)
-	m := machine.New(alloc, opt.Cache, machine.WithRecorder(rec))
-	spec.Program.Run(m, spec.Profile)
-	metrics = m.Finish()
-	if err := rec.Close(); err != nil {
-		runSpan.End()
-		return nil, metrics, stats, nil, err
-	}
-	stats = rec.Stats()
-	runSpan.Set("events", stats.Events)
-	runSpan.Set("chunks", stats.Chunks)
-	runSpan.Set("peak_buffered_events", stats.PeakBufferedEvents)
-	runSpan.End()
-
-	anSpan := parent.Child("analyze")
+// analyzeSpill analyzes a spill file from its start as a stream.
+func analyzeSpill(f *os.File) (*trace.Analysis, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		anSpan.End()
-		return nil, metrics, stats, nil, err
+		return nil, err
 	}
-	asc := opt.Perf.Begin("analyze").AttachSpan(anSpan)
-	var a *trace.Analysis
-	if opt.Shards > 1 {
-		a, err = trace.AnalyzeStreamSharded(f, opt.shardConfig(spec.Program.Name()))
-	} else {
-		var sr *trace.StreamReader
-		sr, err = trace.NewStreamReader(f)
-		if err == nil {
-			a, err = trace.AnalyzeSource(sr)
-		}
-	}
-	asc.AddEvents(stats.Events)
-	sample := asc.End()
+	sr, err := trace.NewStreamReader(f)
 	if err != nil {
-		anSpan.End()
-		return nil, metrics, stats, nil, err
+		return nil, err
 	}
-	if opt.Perf != nil {
-		host = &sample
-	}
-	anSpan.Set("objects", len(a.Objects))
-	anSpan.Set("heap_accesses", a.HeapAccesses)
-	anSpan.Set("shards", max(opt.Shards, 1))
-	anSpan.End()
-	return a, metrics, stats, host, nil
+	return trace.AnalyzeSource(sr)
 }
 
 func weigh(streams []hds.Stream, hot *hotness.Set) []hds.Stream {

@@ -22,9 +22,9 @@ import (
 // the same event encoding into fixed-size chunks so it can be produced
 // and consumed incrementally. Version 3 keeps the chunk framing and
 // additionally stamps every chunk frame with its encoded byte length and
-// the delta-decoder state at the chunk's first event, so chunks can be
-// located and decoded independently (the parallel analysis path in
-// shard.go). Read accepts all three versions.
+// the delta-decoder state at the chunk's first event, which the reader
+// cross-checks against its own running state. Read accepts all three
+// versions.
 const (
 	magic          = "PFXT"
 	version        = 1

@@ -44,6 +44,11 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(chunked.Bytes())
 	f.Add(append([]byte(nil), chunked.Bytes()[:chunked.Len()-6]...))
+	// Malformed version-3 frames: the first carries a handoff that does
+	// not match the decoder state (rejected); the second declares a
+	// chunk byte length its events do not fill (accepted, three events).
+	f.Add([]byte("PFXT\x030\x01\x030000\x02\x800\x000"))
+	f.Add([]byte("PFXT\x030\x030\x00\x00\x00\x00\x04\x8000\x010\xc000\x880\x02\x800\x000"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))

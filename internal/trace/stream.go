@@ -38,9 +38,7 @@ import (
 // Version 3 — what the StreamWriter emits — is version 2 plus an indexed
 // chunk frame: each chunk additionally carries its encoded byte length
 // and the delta-decoder handoff (the per-kind previous addresses at the
-// chunk's first event), so a cheap sequential scanner can slice the file
-// into self-contained (bytes, start-state) units for the parallel decode
-// pool in shard.go without decoding anything itself:
+// chunk's first event), so each chunk is self-describing:
 //
 //	magic "PFXT" | version=3 | chunkSize |
 //	  chunk*: eventCount (1..chunkSize) | byteLen |
@@ -48,10 +46,9 @@ import (
 //	          events... (byteLen bytes)
 //	  terminator: 0 | instr
 //
-// The serial reader cross-checks the recorded handoff against its own
-// running decoder state, so a writer bug in the handoff snapshot can
-// never go unnoticed; the parallel path trusts it (that is the point:
-// decoding chunk k must not require decoding chunk k-1).
+// The reader cross-checks the recorded handoff against its own running
+// decoder state, so a writer bug in the handoff snapshot can never go
+// unnoticed.
 
 // Source is a pull iterator over an event stream in trace order.
 type Source interface {
@@ -352,36 +349,23 @@ type StreamReader struct {
 	err       error
 }
 
-// readContainerHeader consumes the magic and version from br.
-func readContainerHeader(br *bufio.Reader) (ver uint64, err error) {
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return 0, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return 0, errors.New("trace: bad magic (not a PreFix trace file)")
-	}
-	return binary.ReadUvarint(br)
-}
-
 // NewStreamReader reads the container header and returns a Source over
 // the file's events.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	br := bufio.NewReader(r)
-	ver, err := readContainerHeader(br)
+	head := make([]byte, len(magic))
+	if _, err := io.ReadFull(br, head); err != nil {
+		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if string(head) != magic {
+		return nil, errors.New("trace: bad magic (not a PreFix trace file)")
+	}
+	ver, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	return newStreamReader(br, ver)
-}
-
-// newStreamReader continues after the magic and version have been
-// consumed from br (the sharded path peeks the version first to decide
-// between serial and parallel decode).
-func newStreamReader(br *bufio.Reader, ver uint64) (*StreamReader, error) {
 	s := &StreamReader{version: ver}
 	s.dec.br = br
-	var err error
 	switch ver {
 	case version:
 		if s.instr, err = binary.ReadUvarint(br); err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"prefix/internal/mem"
+	"prefix/internal/xrand"
 )
 
 // drain pulls every event out of a source, failing the test on a decode
@@ -303,6 +305,191 @@ func TestAnalyzeSourceTruncatedStreamErrors(t *testing.T) {
 	}
 	if _, err := AnalyzeSource(sr); err == nil {
 		t.Fatal("AnalyzeSource accepted a truncated stream")
+	}
+}
+
+// diffStreamed checks streamed = in-memory for one trace: AnalyzeSource
+// over the chunked container must equal Analyze at every chunk size.
+func diffStreamed(t *testing.T, tr *Trace) {
+	t.Helper()
+	want := Analyze(tr)
+	for _, chunk := range []int{1, 3, 64} {
+		sr, err := NewStreamReader(bytes.NewReader(writeChunked(t, tr, chunk)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AnalyzeSource(sr)
+		if err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk %d: streamed analysis differs from Analyze", chunk)
+		}
+	}
+}
+
+// adversarialTrace builds a fixture of awkward object lifetimes:
+// reallocs that move an object into another site's address range,
+// duplicate live base addresses where the newer allocation shadows the
+// older, a realloc landing exactly on another object's base, and
+// metadata events for addresses the heap never allocated.
+func adversarialTrace() *Trace {
+	r := NewRecorder()
+
+	r.Alloc(1, 0xa1, 0x1000, 64)
+	r.Alloc(2, 0xb2, 0x2000, 64)
+	r.Access(0x1010, 8, false) // obj1 interior
+	r.Access(0x2020, 8, true)  // obj2 interior
+
+	// Realloc moves obj1 right next to obj2, then it is accessed and
+	// freed at the new address. The index must track the moved interval
+	// or later finds diverge.
+	r.Realloc(0x1000, 0x2100, 32)
+	r.Access(0x2110, 8, false) // obj1 after the move
+	r.Access(0x1010, 8, false) // old address: heap miss now
+	r.Free(0x2100)
+
+	// Duplicate live base address: obj3 (site 3) is shadowed by obj4
+	// (site 4) at the same base. Accesses attribute to the newer
+	// object; the one free removes the one interval, so the address
+	// then misses even though obj3 was never freed.
+	r.Alloc(3, 0xc3, 0x5000, 48)
+	r.Access(0x5008, 8, false) // obj3
+	r.Alloc(4, 0xd4, 0x5000, 16)
+	r.Access(0x5008, 8, true) // obj4 shadows obj3
+	r.Free(0x5000)
+	r.Access(0x5008, 8, false) // miss: the interval is gone
+
+	// Realloc landing exactly on another live base: obj6 (site 6) moves
+	// onto obj5's (site 5) base address and replaces its interval.
+	r.Alloc(5, 0xe5, 0x7000, 64)
+	r.Alloc(6, 0xf6, 0x8000, 64)
+	r.Realloc(0x8000, 0x7000, 24)
+	r.Access(0x7004, 8, false) // obj6 now owns the base
+	r.Free(0x7000)
+
+	// Metadata events for addresses the heap never allocated: both are
+	// no-ops.
+	r.Free(0x9999)
+	r.Realloc(0xaaaa, 0xbbbb, 8)
+	r.Access(0xbbbb, 8, false) // still a miss
+
+	// Zero-size allocation clamps to a one-byte interval.
+	r.Alloc(7, 0x17, 0xc000, 0)
+	r.Access(0xc000, 1, false)
+
+	// A second instance for site 1 keeps per-site instance numbering in
+	// play after the moves.
+	r.Alloc(1, 0xa1, 0xd000, 64)
+	r.Access(0xd03f, 8, true) // last byte of obj8
+
+	r.AddInstr(4321)
+	return r.Trace()
+}
+
+// TestAnalyzeSourceAdversarialStraddle runs the streamed = in-memory
+// differential over the adversarial lifetime fixture.
+func TestAnalyzeSourceAdversarialStraddle(t *testing.T) {
+	diffStreamed(t, adversarialTrace())
+}
+
+// TestAnalyzeSourceMatchesAnalyzeRandom runs the streamed = in-memory
+// differential over deterministic random traces heavy on realloc churn
+// and address reuse.
+func TestAnalyzeSourceMatchesAnalyzeRandom(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := xrand.New(seed)
+		r := NewRecorder()
+		var live []mem.Addr
+		addr := mem.Addr(0x1000)
+		for i := 0; i < 2000; i++ {
+			switch rng.Intn(10) {
+			case 0, 1:
+				r.Alloc(mem.SiteID(rng.Intn(9)+1), mem.StackSig(rng.Uint64()), addr, rng.Uint64n(256))
+				live = append(live, addr)
+				addr += 0x40
+			case 2:
+				if len(live) > 0 {
+					k := rng.Intn(len(live))
+					r.Free(live[k])
+					live = append(live[:k], live[k+1:]...)
+				}
+			case 3:
+				if len(live) > 0 {
+					k := rng.Intn(len(live))
+					r.Realloc(live[k], addr, rng.Uint64n(512))
+					live[k] = addr
+					addr += 0x40
+				}
+			case 4:
+				// Shadowing alloc on a live base address.
+				if len(live) > 0 {
+					base := live[rng.Intn(len(live))]
+					r.Alloc(mem.SiteID(rng.Intn(9)+1), mem.StackSig(rng.Uint64()), base, rng.Uint64n(64))
+				}
+			default:
+				r.Access(mem.Addr(rng.Uint64n(uint64(addr))), 8, rng.Bool(0.5))
+			}
+		}
+		r.AddInstr(rng.Uint64n(1 << 20))
+		diffStreamed(t, r.Trace())
+	}
+}
+
+// TestStreamHandoffMismatchRejected corrupts the recorded decoder
+// handoff of a second chunk; the serial reader cross-checks it against
+// its own running state and must fail.
+func TestStreamHandoffMismatchRejected(t *testing.T) {
+	data := writeChunked(t, record(), 4) // 12 events -> 3 chunks
+	// Walk to the second chunk frame: header = magic + version +
+	// chunkSize, then frame 1 = n | byteLen | 4 handoff varints |
+	// payload.
+	br := bytes.NewReader(data)
+	head := make([]byte, len(magic))
+	if _, err := br.Read(head); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := binary.ReadUvarint(br); err != nil { // version
+		t.Fatal(err)
+	}
+	if _, err := binary.ReadUvarint(br); err != nil { // chunkSize
+		t.Fatal(err)
+	}
+	n, err := binary.ReadUvarint(br) // frame 1 event count
+	if err != nil || n != 4 {
+		t.Fatalf("frame 1 count = %d, %v", n, err)
+	}
+	byteLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := binary.ReadUvarint(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// br now sits at frame 1's payload; frame 2's first handoff varint
+	// lives right after payload + count + byteLen varints.
+	off := len(data) - br.Len() + int(byteLen)
+	rest := bytes.NewReader(data[off:])
+	if _, err := binary.ReadUvarint(rest); err != nil { // frame 2 count
+		t.Fatal(err)
+	}
+	if _, err := binary.ReadUvarint(rest); err != nil { // frame 2 byteLen
+		t.Fatal(err)
+	}
+	handoffOff := off + (len(data) - off - rest.Len())
+	corrupt := append([]byte(nil), data...)
+	corrupt[handoffOff] ^= 0x01 // flip the low bit of prevAddr[Alloc]
+
+	sr, err := NewStreamReader(bytes.NewReader(corrupt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeSource(sr); err == nil {
+		t.Fatal("serial reader accepted a corrupted chunk handoff")
+	} else if !bytes.Contains([]byte(err.Error()), []byte("handoff")) {
+		t.Fatalf("unexpected error: %v", err)
 	}
 }
 
