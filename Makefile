@@ -8,7 +8,7 @@ GO ?= go
 # benchmarks at reduced scale through the worker pool.
 SMOKE_ARGS = -scale bench -jobs 4 -only table3 -bench mcf,health
 
-.PHONY: check fmt vet lint lint-perf build test test-short race bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke perf-smoke explain-smoke clean
+.PHONY: check fmt vet lint lint-perf build test test-short race bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke perf-smoke explain-smoke fuzz-smoke clean
 
 check: fmt vet lint build race
 
@@ -65,9 +65,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # One-iteration smoke of the inner-loop microbenchmarks (cache probe,
-# hierarchy walk, machine event loop, miners). Catches compile breakage
-# and gross regressions in CI without paying for a real measurement; use
-# `make bench` for numbers.
+# hierarchy walk, machine event loop, LCS kernel, miners). Catches
+# compile breakage and gross regressions in CI without paying for a real
+# measurement; use `make bench` for numbers.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ \
 		./internal/cachesim ./internal/machine ./internal/hds ./internal/trace
@@ -97,8 +97,16 @@ bench-gate:
 perf-smoke:
 	$(GO) test ./internal/pipeline -run 'TestPerfSmoke|TestPerfScaleMonotone' -count=1
 	$(GO) test ./cmd/prefix-bench -run TestPerfParityAndOverhead -count=1
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) \
-		-baseline testdata/bench-smoke-baseline.json -regress-pct 50
+	$(MAKE) bench-gate
+
+# Short fuzzing pass over the untrusted-input decoder (FuzzRead: the
+# trace container readers must agree and fail closed) and the LCS
+# kernel (FuzzLCS: bit-parallel kernel = dynamic-programming oracle).
+# Override FUZZTIME for a longer run.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hds -run '^$$' -fuzz '^FuzzLCS$$' -fuzztime $(FUZZTIME)
 
 # Print each benchmark's events/sec and miss-rate trends across the
 # committed BENCH_*.json snapshots (no benchmarks are run).

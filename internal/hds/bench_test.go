@@ -44,3 +44,37 @@ func BenchmarkSequiturAppend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLCSKernel times the LCS kernel on W=64 window pairs of a
+// motif-bearing reference string and reports ns/pair. "pair" prebuilds
+// each window's match table once, as MineLCS does; "lcs" builds both
+// tables per call, as LCS does.
+func BenchmarkLCSKernel(b *testing.B) {
+	const w, windows = 64, 64
+	refs := benchRefs(w * (windows + 1))
+	win := func(k int) []mem.ObjectID { return refs[k*w : (k+1)*w] }
+	b.Run("pair", func(b *testing.B) {
+		tables := make([]lcsTable, windows+1)
+		for k := range tables {
+			tables[k].build(win(k))
+		}
+		var lb lcsBuf
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % windows
+			lb.pair(&tables[k], &tables[k+1])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pair")
+	})
+	b.Run("lcs", func(b *testing.B) {
+		var lb lcsBuf
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % windows
+			lb.lcs(win(k), win(k+1))
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pair")
+	})
+}

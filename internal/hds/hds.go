@@ -14,6 +14,8 @@
 package hds
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"prefix/internal/mem"
@@ -41,15 +43,15 @@ func (s Stream) Contains(obj mem.ObjectID) bool {
 // Key returns a canonical string of the ordered member list, used to merge
 // duplicate discoveries.
 func (s Stream) Key() string {
-	b := make([]byte, 0, len(s.Objects)*8)
-	for _, o := range s.Objects {
-		v := uint64(o)
-		for i := 0; i < 8; i++ {
-			b = append(b, byte(v))
-			v >>= 8
-		}
+	return string(appendKey(make([]byte, 0, len(s.Objects)*8), s.Objects))
+}
+
+// appendKey appends the Key bytes of objs to b.
+func appendKey(b []byte, objs []mem.ObjectID) []byte {
+	for _, o := range objs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(o))
 	}
-	return string(b)
+	return b
 }
 
 // Config controls mining.
@@ -101,14 +103,15 @@ func CollapseRefs(refs []mem.ObjectID, hot map[mem.ObjectID]bool) []mem.ObjectID
 	return out
 }
 
-// dedupeOrdered removes repeated objects from a sequence, keeping first
-// occurrences, so a Stream's member list is a set with an order.
-func dedupeOrdered(seq []mem.ObjectID) []mem.ObjectID {
-	seen := make(map[mem.ObjectID]bool, len(seq))
-	out := seq[:0:0]
+// dedupeInto writes seq's objects into buf[:0] without repeats,
+// keeping first occurrences, so a Stream's member list is a set with an
+// order. It allocates only when buf is too short; the scan is quadratic
+// in the output, which is cheap for member lists of at most one LCS
+// window. buf must not share memory with seq.
+func dedupeInto(buf, seq []mem.ObjectID) []mem.ObjectID {
+	out := buf[:0]
 	for _, o := range seq {
-		if !seen[o] {
-			seen[o] = true
+		if !slices.Contains(out, o) {
 			out = append(out, o)
 		}
 	}
@@ -121,7 +124,7 @@ func rankAndTrim(streams []Stream, cfg Config) []Stream {
 	merged := make(map[string]*Stream)
 	var order []string
 	for _, s := range streams {
-		s.Objects = dedupeOrdered(s.Objects)
+		s.Objects = dedupeInto(nil, s.Objects)
 		if len(s.Objects) < cfg.MinLength {
 			continue
 		}

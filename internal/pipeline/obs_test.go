@@ -103,7 +103,9 @@ func TestObsSpanTree(t *testing.T) {
 	if got := spanNames(children[0]); !reflect.DeepEqual(got, wantProfile) {
 		t.Errorf("profile spans = %v, want %v", got, wantProfile)
 	}
-	wantPlan := []string{"hds-mining", "reconstitution", "context-inference", "recycling", "slot-assignment"}
+	// Planning starts at reconstitution: every variant plans from the
+	// profile's streams, so mining happens once, under "profile".
+	wantPlan := []string{"reconstitution", "context-inference", "recycling", "slot-assignment"}
 	if got := spanNames(children[4]); !reflect.DeepEqual(got, wantPlan) {
 		t.Errorf("plan spans = %v, want %v", got, wantPlan)
 	}

@@ -16,7 +16,6 @@ import (
 	"prefix/internal/hds"
 	"prefix/internal/hotness"
 	"prefix/internal/machine"
-	"prefix/internal/mem"
 	"prefix/internal/obs"
 	"prefix/internal/obs/perfstat"
 	"prefix/internal/prefix"
@@ -139,9 +138,12 @@ type Profile struct {
 	Hot      *hotness.Set
 	// StreamsLCS is the paper's LCS-mined OHDS (drives PreFix planning
 	// and HALO affinity grouping); StreamsSequitur drives the HDS
-	// baseline's site choice, as in the original HDS work.
+	// baseline's site choice, as in the original HDS work. Both are
+	// mined once, from CollapsedRefs collapsed hot references, and every
+	// plan built from the profile reads them (see Streams).
 	StreamsLCS      []hds.Stream
 	StreamsSequitur []hds.Stream
+	CollapsedRefs   int
 	// Metrics of the profiling run itself.
 	Metrics machine.Metrics
 	// Stats is what the profiling recorder captured (event count, spill
@@ -152,6 +154,14 @@ type Profile struct {
 	// when Options.Perf is attached; nil otherwise. It never feeds
 	// report output.
 	AnalysisHost *perfstat.Sample
+}
+
+// Streams returns the profile's OHDS mined by m.
+func (p *Profile) Streams(m prefix.Miner) []hds.Stream {
+	if m == prefix.MinerSequitur {
+		return p.StreamsSequitur
+	}
+	return p.StreamsLCS
 }
 
 // CollectProfile runs the benchmark's profiling input under the tracing
@@ -191,8 +201,8 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 
 	mineSpan := parent.Child("hds-mining")
 	refs := hds.CollapseRefs(a.Refs, hot.IDs)
-	lcs := weigh(hds.MineLCS(refs, cfg.HDS), hot)
-	seq := weigh(hds.MineSequitur(refs, cfg.HDS), hot)
+	lcs := prefix.MineRefs(refs, hot, prefix.MinerLCS, cfg.HDS)
+	seq := prefix.MineRefs(refs, hot, prefix.MinerSequitur, cfg.HDS)
 	mineSpan.Set("streams_lcs", len(lcs))
 	mineSpan.Set("streams_sequitur", len(seq))
 	mineSpan.End()
@@ -215,6 +225,7 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 		Hot:             hot,
 		StreamsLCS:      lcs,
 		StreamsSequitur: seq,
+		CollapsedRefs:   len(refs),
 		Metrics:         metrics,
 		Stats:           stats,
 		AnalysisHost:    anHost,
@@ -310,12 +321,4 @@ func analyzeSpill(f *os.File) (*trace.Analysis, error) {
 		return nil, err
 	}
 	return trace.AnalyzeSource(sr)
-}
-
-func weigh(streams []hds.Stream, hot *hotness.Set) []hds.Stream {
-	accesses := make(map[mem.ObjectID]uint64, len(hot.Objects))
-	for _, o := range hot.Objects {
-		accesses[o.ID] = o.Accesses
-	}
-	return hds.WeighByAccesses(streams, accesses)
 }

@@ -208,7 +208,7 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, root *ob
 		if opt.Attribution {
 			cfg.Ledger = prefix.NewLedger()
 		}
-		plan, sum, err := prefix.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+		plan, sum, err := planFromProfile(prof, cfg)
 		if err != nil {
 			planSpan.End()
 			return nil, fmt.Errorf("pipeline: %s %v: %w", name, v, err)
@@ -250,6 +250,12 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, root *ob
 	return cmp, nil
 }
 
+// planFromProfile plans one variant from the profile's streams for
+// cfg.Miner, so every variant shares the profile's single mining pass.
+func planFromProfile(prof *Profile, cfg prefix.PlanConfig) (*prefix.Plan, *prefix.Summary, error) {
+	return prefix.PlanFromStreams(prof.Analysis, prof.Hot, prof.Streams(cfg.Miner), prof.CollapsedRefs, cfg)
+}
+
 // TraceBaselineAndBest runs the evaluation input under the baseline and
 // under a freshly planned best-variant PreFix allocator, recording both
 // traces — the input of the Figure 9 heatmaps. "Best" means what it
@@ -287,7 +293,7 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 		cfg.Variant = v
 		planSpan := root.Child("plan " + v.String())
 		cfg.Trace = planSpan
-		plan, _, perr := prefix.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+		plan, _, perr := planFromProfile(prof, cfg)
 		planSpan.End()
 		if perr != nil {
 			return nil, nil, 0, fmt.Errorf("pipeline: %s %v: %w", name, v, perr)
@@ -321,9 +327,10 @@ func captureLongRun(spec workloads.Spec, opt Options, plan *prefix.Plan, root *o
 
 	cfg := opt.Plan
 	cfg.Benchmark = spec.Program.Name()
+	cfg.Miner = prefix.MinerLCS
+	cfg.Trace = span
 	hot := prefix.SelectHot(a, cfg)
-	refs := hds.CollapseRefs(a.Refs, hot.IDs)
-	streams := hds.MineLCS(refs, cfg.HDS)
+	streams, _ := prefix.MineHot(a, hot, cfg)
 	inStream := hds.Objects(streams)
 
 	lr := &LongRunCapture{}

@@ -1,6 +1,7 @@
 package prefix
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -99,6 +100,8 @@ func SelectHot(a *trace.Analysis, cfg PlanConfig) *hotness.Set {
 	return hot
 }
 
+var errNoHotObjects = errors.New("prefix: no hot objects found in profile")
+
 // BuildPlan runs the full profile analysis of Figure 8 on an analyzed
 // trace and produces a Plan plus the reporting Summary.
 func BuildPlan(a *trace.Analysis, cfg PlanConfig) (*Plan, *Summary, error) {
@@ -107,30 +110,59 @@ func BuildPlan(a *trace.Analysis, cfg PlanConfig) (*Plan, *Summary, error) {
 
 // BuildPlanFromHot is BuildPlan with a caller-provided hot set (so one
 // selection can be shared between PreFix planning and the baseline
-// pollution accounting).
+// pollution accounting): MineHot followed by PlanFromStreams.
 func BuildPlanFromHot(a *trace.Analysis, hot *hotness.Set, cfg PlanConfig) (*Plan, *Summary, error) {
 	if len(hot.Objects) == 0 {
-		return nil, nil, fmt.Errorf("prefix: no hot objects found in profile")
+		return nil, nil, errNoHotObjects
 	}
+	ohds, refs := MineHot(a, hot, cfg)
+	return PlanFromStreams(a, hot, ohds, refs, cfg)
+}
 
-	// --- Hot data stream mining -------------------------------------
-	mineSpan := cfg.Trace.Child("hds-mining")
+// MineHot is the mining step of planning: it collapses the profile's
+// reference string to the hot objects and mines it with cfg.Miner (see
+// MineRefs). It returns the OHDS and the number of collapsed hot
+// references it was mined from, the inputs of PlanFromStreams. An
+// "hds-mining" child span goes to cfg.Trace.
+func MineHot(a *trace.Analysis, hot *hotness.Set, cfg PlanConfig) ([]hds.Stream, int) {
+	span := cfg.Trace.Child("hds-mining")
 	refs := hds.CollapseRefs(a.Refs, hot.IDs)
-	var ohds []hds.Stream
-	switch cfg.Miner {
+	ohds := MineRefs(refs, hot, cfg.Miner, cfg.HDS)
+	span.Set("refs", len(refs))
+	span.Set("streams", len(ohds))
+	span.End()
+	return ohds, len(refs)
+}
+
+// MineRefs runs miner m over collapsed hot references and weighs the
+// streams by their members' access counts in the hot set, producing the
+// OHDS in the descending order of memory references Algorithm 1
+// expects.
+func MineRefs(refs []mem.ObjectID, hot *hotness.Set, m Miner, cfg hds.Config) []hds.Stream {
+	var streams []hds.Stream
+	switch m {
 	case MinerSequitur:
-		ohds = hds.MineSequitur(refs, cfg.HDS)
+		streams = hds.MineSequitur(refs, cfg)
 	default:
-		ohds = hds.MineLCS(refs, cfg.HDS)
+		streams = hds.MineLCS(refs, cfg)
 	}
 	accesses := make(map[mem.ObjectID]uint64, len(hot.Objects))
 	for _, o := range hot.Objects {
 		accesses[o.ID] = o.Accesses
 	}
-	ohds = hds.WeighByAccesses(ohds, accesses)
-	mineSpan.Set("refs", len(refs))
-	mineSpan.Set("streams", len(ohds))
-	mineSpan.End()
+	return hds.WeighByAccesses(streams, accesses)
+}
+
+// PlanFromStreams is planning after mining: layout reconstitution,
+// context inference, recycling and slot assignment over an OHDS that
+// cfg.Miner mined from refs collapsed hot references (MineHot's
+// results, or a profile's streams mined the same way). It reads ohds
+// and never modifies it, so one profile's streams can serve every
+// variant.
+func PlanFromStreams(a *trace.Analysis, hot *hotness.Set, ohds []hds.Stream, refs int, cfg PlanConfig) (*Plan, *Summary, error) {
+	if len(hot.Objects) == 0 {
+		return nil, nil, errNoHotObjects
+	}
 	minerName := "lcs"
 	if cfg.Miner == MinerSequitur {
 		minerName = "sequitur"
@@ -138,7 +170,7 @@ func BuildPlanFromHot(a *trace.Analysis, hot *hotness.Set, cfg PlanConfig) (*Pla
 	cfg.Ledger.Record(Decision{
 		Stage: StageMining, Kind: "streams-mined", Counter: -1,
 		Reason: fmt.Sprintf("%s miner found %d observed hot data streams over %d collapsed hot references",
-			minerName, len(ohds), len(refs)),
+			minerName, len(ohds), refs),
 	})
 
 	// --- Layout determination (Algorithm 1) -------------------------

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// Malformed version-3 seeds of FuzzRead, also asserted rejected by
+// TestMalformedFrameSeedsRejected.
+var (
+	badHandoffFrame = []byte("PFXT\x030\x01\x030000\x02\x800\x000")
+	shortChunkFrame = []byte("PFXT\x030\x030\x00\x00\x00\x00\x04\x8000\x010\xc000\x880\x02\x800\x000")
+)
+
 // FuzzRead throws arbitrary bytes at the trace decoders: neither may
 // panic, anything accepted must re-encode losslessly, and the streaming
 // reader must agree with the materializing Read on every input — same
@@ -46,9 +53,9 @@ func FuzzRead(f *testing.F) {
 	f.Add(append([]byte(nil), chunked.Bytes()[:chunked.Len()-6]...))
 	// Malformed version-3 frames: the first carries a handoff that does
 	// not match the decoder state (rejected); the second declares a
-	// chunk byte length its events do not fill (accepted, three events).
-	f.Add([]byte("PFXT\x030\x01\x030000\x02\x800\x000"))
-	f.Add([]byte("PFXT\x030\x030\x00\x00\x00\x00\x04\x8000\x010\xc000\x880\x02\x800\x000"))
+	// chunk byte length its events do not fill (rejected).
+	f.Add(badHandoffFrame)
+	f.Add(shortChunkFrame)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))

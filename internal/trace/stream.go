@@ -347,12 +347,36 @@ type StreamReader struct {
 	chunks    uint64
 	done      bool
 	err       error
+	// src counts the bytes the buffered reader has pulled, which places
+	// the decoder in the file; a v3 chunk's events must end exactly
+	// chunkLen bytes after chunkStart.
+	src        *countingReader
+	chunkStart int64
+	chunkLen   uint64
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// offset is the file position of the next byte the decoder consumes.
+func (s *StreamReader) offset() int64 {
+	return s.src.n - int64(s.dec.br.Buffered())
 }
 
 // NewStreamReader reads the container header and returns a Source over
 // the file's events.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	br := bufio.NewReader(r)
+	src := &countingReader{r: r}
+	br := bufio.NewReader(src)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
@@ -364,7 +388,7 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &StreamReader{version: ver}
+	s := &StreamReader{version: ver, src: src}
 	s.dec.br = br
 	switch ver {
 	case version:
@@ -404,7 +428,16 @@ func (s *StreamReader) Next() (Event, bool) {
 			s.done = true
 			return Event{}, false
 		}
-		// Chunked: next frame is a chunk header or the terminator.
+		// Chunked: the previous v3 chunk's events must have filled
+		// exactly its declared byte length; then the next frame is a
+		// chunk header or the terminator.
+		if s.version == versionIndexed && s.chunks > 0 {
+			if got := s.offset() - s.chunkStart; got != int64(s.chunkLen) {
+				s.fail(fmt.Errorf("trace: chunk %d events fill %d bytes, frame declares %d",
+					s.chunks-1, got, s.chunkLen))
+				return Event{}, false
+			}
+		}
 		n, err := binary.ReadUvarint(s.dec.br)
 		if err != nil {
 			s.fail(fmt.Errorf("trace: chunk %d header: %w", s.chunks, err))
@@ -451,6 +484,7 @@ func (s *StreamReader) Next() (Event, bool) {
 					return Event{}, false
 				}
 			}
+			s.chunkStart, s.chunkLen = s.offset(), byteLen
 		}
 		s.chunks++
 		s.remaining = n

@@ -565,3 +565,61 @@ func TestStreamBoundedMemoryLargeTrace(t *testing.T) {
 		t.Errorf("instr = %d", a.Instr)
 	}
 }
+
+// TestMalformedFrameSeedsRejected: both malformed version-3 FuzzRead
+// seeds fail closed, in Read and in the streaming reader alike.
+func TestMalformedFrameSeedsRejected(t *testing.T) {
+	for name, data := range map[string][]byte{"bad handoff": badHandoffFrame, "short chunk": shortChunkFrame} {
+		if _, err := Read(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: Read accepted the frame", name)
+		}
+		if err := drainStream(data); err == nil {
+			t.Errorf("%s: StreamReader accepted the frame", name)
+		}
+	}
+}
+
+// TestStreamChunkLengthMismatchRejected rewrites the first chunk's
+// declared byte length one byte short and one byte long: its events no
+// longer fill the frame exactly, so both readers must fail.
+func TestStreamChunkLengthMismatchRejected(t *testing.T) {
+	data := writeChunked(t, record(), 4)
+	br := bytes.NewReader(data[len(magic):])
+	for i := 0; i < 3; i++ { // version, chunkSize, frame 1 event count
+		if _, err := binary.ReadUvarint(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off := len(data) - br.Len()
+	byteLen, err := binary.ReadUvarint(br)
+	if err != nil || byteLen < 2 || byteLen > 126 {
+		t.Fatalf("frame 1 byte length %d (%v) is not a one-byte varint", byteLen, err)
+	}
+	for _, delta := range []int{-1, 1} {
+		bad := append([]byte(nil), data...)
+		bad[off] = byte(int(byteLen) + delta)
+		if _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Errorf("byte length %+d: Read accepted the file", delta)
+		}
+		if err := drainStream(bad); err == nil {
+			t.Errorf("byte length %+d: StreamReader accepted the file", delta)
+		}
+	}
+	if err := drainStream(data); err != nil {
+		t.Fatalf("unmodified file rejected: %v", err)
+	}
+}
+
+// drainStream reads every event of data through a StreamReader and
+// returns its error.
+func drainStream(data []byte) error {
+	sr, err := NewStreamReader(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	for {
+		if _, ok := sr.Next(); !ok {
+			return sr.Err()
+		}
+	}
+}
