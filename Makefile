@@ -8,7 +8,7 @@ GO ?= go
 # benchmarks at reduced scale through the worker pool.
 SMOKE_ARGS = -scale bench -jobs 4 -only table3 -bench mcf,health
 
-.PHONY: check fmt vet lint lint-perf build test test-short race bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke perf-smoke explain-smoke fuzz-smoke clean
+.PHONY: check fmt vet lint lint-perf build test test-short race bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory perf-smoke explain-smoke fuzz-smoke clean
 
 check: fmt vet lint build race
 
@@ -117,11 +117,13 @@ bench-trajectory:
 # smoke suite's report is byte-identical with and without -attrib (the
 # attribution-only tests assert the same for the full paper tables) —
 # and prefix-explain must produce a ledger-backed document per
-# benchmark. Artifacts land in explain-out/ for CI upload.
+# benchmark. prefix-bench is built once into .bin/ for both runs.
+# Artifacts land in explain-out/ for CI upload.
 explain-smoke:
 	@rm -rf explain-out && mkdir -p explain-out
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) > explain-out/plain.txt
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) -attrib > explain-out/attrib.txt
+	$(GO) build -o .bin/prefix-bench ./cmd/prefix-bench
+	.bin/prefix-bench $(SMOKE_ARGS) > explain-out/plain.txt
+	.bin/prefix-bench $(SMOKE_ARGS) -attrib > explain-out/attrib.txt
 	@if cmp -s explain-out/plain.txt explain-out/attrib.txt; then \
 		echo "explain-smoke: -attrib report is byte-identical to the plain report"; \
 	else \
@@ -132,20 +134,6 @@ explain-smoke:
 		-ledger-dir explain-out | tee explain-out/explain.txt
 	@grep -q "best variant" explain-out/explain.txt || \
 		{ echo "explain-smoke: prefix-explain produced no explanation"; exit 1; }
-
-# Streaming parity gate: the smoke suite must produce byte-identical
-# reports whether profiling traces are materialized in memory or
-# streamed through the bounded-memory spill recorder.
-stream-smoke:
-	@tmpdir="$$(mktemp -d)"; trap 'rm -rf "$$tmpdir"' EXIT; \
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) > "$$tmpdir/mem.txt" && \
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) -stream -stream-chunk 4096 > "$$tmpdir/stream.txt" || exit 1; \
-	if cmp -s "$$tmpdir/mem.txt" "$$tmpdir/stream.txt"; then \
-		echo "stream-smoke: streaming report is byte-identical to the in-memory report"; \
-	else \
-		echo "stream-smoke: streaming report differs from the in-memory report:"; \
-		diff "$$tmpdir/mem.txt" "$$tmpdir/stream.txt" | head -40; exit 1; \
-	fi
 
 clean:
 	$(GO) clean ./...

@@ -7,19 +7,20 @@
 //
 //	prefix-analyze -trace mcf.trace -o mcf.plan.json
 //	prefix-analyze -trace mcf.trace -variant hds -miner sequitur -v
-//	prefix-analyze -trace mcf.trace -stream -o mcf.plan.json
 //	prefix-analyze -trace mcf.trace -ledger mcf.ledger.json  # record every decision
 //	prefix-analyze -trace mcf.trace -trace-out phases.json -metrics-out plan.prom
 //
-// Both trace formats are accepted (the classic header-counted file and
-// the chunked stream prefix-trace -stream writes). With -stream the
-// analysis runs off the file without materializing the event slice, so
-// traces far larger than memory are fine.
+// Every trace container version is accepted: the classic header-counted
+// file and the chunked stream prefix-trace -stream writes. The analysis
+// decodes straight off the file without materializing the event slice,
+// so traces far larger than memory are fine.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prefix/internal/obsflags"
@@ -28,29 +29,40 @@ import (
 	"prefix/internal/trace"
 )
 
+// errUsage marks bad invocations; main exits 2 for them, matching flag
+// parsing errors.
+var errUsage = errors.New("usage")
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "prefix-analyze:", err)
-		os.Exit(1)
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil {
+		return
 	}
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	fmt.Fprintln(os.Stderr, "prefix-analyze:", err)
+	os.Exit(1)
 }
 
-func run() (err error) {
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("prefix-analyze", flag.ContinueOnError)
 	var (
-		in      = flag.String("trace", "", "input trace file (required)")
-		out     = flag.String("o", "", "output plan JSON (default: stdout)")
-		bench   = flag.String("bench", "unknown", "benchmark name recorded in the plan")
-		variant = flag.String("variant", "hds+hot", "placement variant: hot, hds, hds+hot")
-		miner   = flag.String("miner", "lcs", "hot-data-stream miner: lcs or sequitur")
-		summary = flag.Bool("summary", false, "print the analysis summary (OHDS/RHDS) to stderr")
-		stream  = flag.Bool("stream", false, "analyze the trace incrementally without materializing it (bounded memory)")
-		ledger  = flag.String("ledger", "", "record every planning decision (classification, sharing, recycling, placement) and write the ledger JSON to this file")
-		obsf    = obsflags.Register(flag.CommandLine)
+		in      = fs.String("trace", "", "input trace file (required)")
+		out     = fs.String("o", "", "output plan JSON (default: stdout)")
+		bench   = fs.String("bench", "unknown", "benchmark name recorded in the plan")
+		variant = fs.String("variant", "hds+hot", "placement variant: hot, hds, hds+hot")
+		miner   = fs.String("miner", "lcs", "hot-data-stream miner: lcs or sequitur")
+		summary = fs.Bool("summary", false, "print the analysis summary (OHDS/RHDS) to stderr")
+		ledger  = fs.String("ledger", "", "record every planning decision (classification, sharing, recycling, placement) and write the ledger JSON to this file")
+		obsf    = obsflags.Register(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
 	if *in == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
 
 	var v core.Variant
@@ -89,44 +101,15 @@ func run() (err error) {
 	perfScope := sess.Perf.Begin("analyze").AttachSpan(root)
 	defer perfScope.End()
 
-	f, err := os.Open(*in)
+	anSpan := root.Child("analyze")
+	a, err := analyzeFile(*in)
 	if err != nil {
+		anSpan.End()
 		return err
 	}
-	var a *trace.Analysis
-	if *stream {
-		// Incremental: decode straight off the file.
-		anSpan := root.Child("analyze")
-		var sr *trace.StreamReader
-		sr, err = trace.NewStreamReader(f)
-		if err == nil {
-			a, err = trace.AnalyzeSource(sr)
-		}
-		f.Close()
-		if err != nil {
-			anSpan.End()
-			return err
-		}
-		anSpan.Set("objects", len(a.Objects))
-		anSpan.Set("heap_accesses", a.HeapAccesses)
-		anSpan.End()
-	} else {
-		readSpan := root.Child("read-trace")
-		tr, rerr := trace.Read(f)
-		f.Close()
-		if rerr != nil {
-			readSpan.End()
-			return rerr
-		}
-		readSpan.Set("events", len(tr.Events))
-		readSpan.End()
-
-		anSpan := root.Child("analyze")
-		a = trace.Analyze(tr)
-		anSpan.Set("objects", len(a.Objects))
-		anSpan.Set("heap_accesses", a.HeapAccesses)
-		anSpan.End()
-	}
+	anSpan.Set("objects", len(a.Objects))
+	anSpan.Set("heap_accesses", a.HeapAccesses)
+	anSpan.End()
 
 	perfScope.AddEvents(uint64(a.Events))
 
@@ -184,7 +167,6 @@ func run() (err error) {
 		report.Figure2(os.Stderr, ohds, sum.Recon)
 	}
 
-	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -197,5 +179,19 @@ func run() (err error) {
 		// A close error on the output file means a truncated plan; report it.
 		return f.Close()
 	}
-	return plan.WriteJSON(w)
+	return plan.WriteJSON(stdout)
+}
+
+// analyzeFile decodes the trace file incrementally and analyzes it.
+func analyzeFile(path string) (*trace.Analysis, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	sr, err := trace.NewStreamReader(f)
+	if err != nil {
+		return nil, err
+	}
+	return trace.AnalyzeSource(sr)
 }

@@ -66,7 +66,7 @@ func main() {
 
 // validateArgs checks every flag combination that can be rejected before
 // any benchmark burns cycles.
-func validateArgs(only, scale string, seeds, jobs int, record bool, baseline string, regressPct float64, stream bool, streamChunk int, attrib bool) error {
+func validateArgs(only, scale string, seeds, jobs int, record bool, baseline string, regressPct float64, attrib bool) error {
 	if only != "" {
 		known := false
 		for _, a := range artifacts {
@@ -94,12 +94,6 @@ func validateArgs(only, scale string, seeds, jobs int, record bool, baseline str
 	if regressPct < 0 {
 		return fmt.Errorf("-regress-pct must be non-negative (got %g)", regressPct)
 	}
-	if streamChunk < 0 {
-		return fmt.Errorf("-stream-chunk must be non-negative (got %d)", streamChunk)
-	}
-	if streamChunk > 0 && !stream {
-		return fmt.Errorf("-stream-chunk only applies with -stream")
-	}
 	if strings.EqualFold(only, "attribution") && !attrib {
 		return fmt.Errorf("-only attribution requires -attrib (nothing attributes misses to sites without it)")
 	}
@@ -120,21 +114,19 @@ func validateArgs(only, scale string, seeds, jobs int, record bool, baseline str
 
 func run() (err error) {
 	var (
-		only        = flag.String("only", "", "emit a single artifact: figure1, figure2, table2..table6, figure9..figure14, variance")
-		benchList   = flag.String("bench", "", "comma-separated benchmark subset (default: all 13)")
-		scale       = flag.String("scale", "long", "evaluation scale: long or bench")
-		heatmapDir  = flag.String("heatmap-dir", "", "directory for Figure 9 heatmap CSVs")
-		capture     = flag.Bool("capture", false, "record long-run traces for Table 5 long-run columns (slower)")
-		seeds       = flag.Int("seeds", 0, "additionally run each benchmark across N perturbed evaluation seeds and report the variance (the paper averages over 10 runs)")
-		jobs        = flag.Int("jobs", pipeline.DefaultJobs(), "run up to N benchmark/seed evaluations concurrently (1 = serial; output is identical at any job count)")
-		record      = flag.Bool("record", false, "snapshot this run's per-benchmark results to BENCH_<timestamp>.json")
-		recordOut   = flag.String("record-out", "", "write the run snapshot to this file instead of BENCH_<timestamp>.json (implies -record)")
-		baseline    = flag.String("baseline", "", "compare this run against a recorded BENCH_*.json and exit non-zero on regression")
-		regressPct  = flag.Float64("regress-pct", 5, "fail the -baseline comparison when any tracked metric regresses by more than this percent")
-		stream      = flag.Bool("stream", false, "collect profiles through the bounded-memory spill-to-disk streaming path (report output is identical)")
-		streamChunk = flag.Int("stream-chunk", 0, "events per spill chunk in -stream mode (0 = default budget)")
-		attrib      = flag.Bool("attrib", false, "attribute every miss to its allocation site and record decision ledgers (simulated results are identical; adds the attribution table, the benchstore attrib section, prefix_attrib_* metrics, and /explain documents)")
-		obsf        = obsflags.Register(flag.CommandLine)
+		only       = flag.String("only", "", "emit a single artifact: figure1, figure2, table2..table6, figure9..figure14, variance")
+		benchList  = flag.String("bench", "", "comma-separated benchmark subset (default: all 13)")
+		scale      = flag.String("scale", "long", "evaluation scale: long or bench")
+		heatmapDir = flag.String("heatmap-dir", "", "directory for Figure 9 heatmap CSVs")
+		capture    = flag.Bool("capture", false, "record long-run traces for Table 5 long-run columns (slower)")
+		seeds      = flag.Int("seeds", 0, "additionally run each benchmark across N perturbed evaluation seeds and report the variance (the paper averages over 10 runs)")
+		jobs       = flag.Int("jobs", pipeline.DefaultJobs(), "run up to N benchmark/seed evaluations concurrently (1 = serial; output is identical at any job count)")
+		record     = flag.Bool("record", false, "snapshot this run's per-benchmark results to BENCH_<timestamp>.json")
+		recordOut  = flag.String("record-out", "", "write the run snapshot to this file instead of BENCH_<timestamp>.json (implies -record)")
+		baseline   = flag.String("baseline", "", "compare this run against a recorded BENCH_*.json and exit non-zero on regression")
+		regressPct = flag.Float64("regress-pct", 5, "fail the -baseline comparison when any tracked metric regresses by more than this percent")
+		attrib     = flag.Bool("attrib", false, "attribute every miss to its allocation site and record decision ledgers (simulated results are identical; adds the attribution table, the benchstore attrib section, prefix_attrib_* metrics, and /explain documents)")
+		obsf       = obsflags.Register(flag.CommandLine)
 	)
 	obsf.RegisterServe(flag.CommandLine)
 	flag.Parse()
@@ -142,7 +134,7 @@ func run() (err error) {
 	if *recordOut != "" {
 		*record = true
 	}
-	if err := validateArgs(*only, *scale, *seeds, *jobs, *record, *baseline, *regressPct, *stream, *streamChunk, *attrib); err != nil {
+	if err := validateArgs(*only, *scale, *seeds, *jobs, *record, *baseline, *regressPct, *attrib); err != nil {
 		return err
 	}
 	names, err := workloads.ResolveList(*benchList)
@@ -167,8 +159,6 @@ func run() (err error) {
 	opt.Metrics = sess.Metrics
 	opt.Tracer = sess.Tracer
 	opt.Perf = sess.Perf
-	opt.Stream = *stream
-	opt.StreamChunkEvents = *streamChunk
 	opt.Attribution = *attrib
 	opt.Explain = sess.Explain
 

@@ -136,23 +136,19 @@ const batchEvents = 256
 // machines sharing one recorder) to its trace recorder. The per-event
 // cost is an append into a preallocated buffer through a concrete
 // method — no interface dispatch; the recorder's interface is crossed
-// once per batch, via RecordBatch when the recorder supports bulk
-// delivery and an event-at-a-time replay otherwise. A group's machines
-// share one batch, so the recorded interleaving is exactly the order
-// the workload drove the thread Envs in.
+// once per batch. A group's machines share one batch, so the recorded
+// interleaving is exactly the order the workload drove the thread Envs
+// in.
 type eventBatch struct {
-	rec  trace.EventRecorder
-	bulk trace.BatchRecorder // non-nil when rec accepts batches
-	buf  []trace.Event
+	rec trace.EventRecorder
+	buf []trace.Event
 }
 
 func newEventBatch(rec trace.EventRecorder) *eventBatch {
 	if rec == nil {
 		return nil
 	}
-	b := &eventBatch{rec: rec, buf: make([]trace.Event, 0, batchEvents)}
-	b.bulk, _ = rec.(trace.BatchRecorder)
-	return b
+	return &eventBatch{rec: rec, buf: make([]trace.Event, 0, batchEvents)}
 }
 
 // add appends one event, flushing when the batch fills.
@@ -167,38 +163,17 @@ func (b *eventBatch) add(ev trace.Event) {
 }
 
 // flush hands the buffered events to the recorder and empties the
-// batch, keeping its storage. The interface crossings below are the
-// point of the batch: they happen once per batchEvents events (or once
-// per event only on the legacy non-bulk recorder fallback), not on the
-// per-event path.
+// batch, keeping its storage. It stays out of line so that add, the
+// per-event path, remains inlinable.
 //
+//go:noinline
 //prefix:hotpath
 func (b *eventBatch) flush() {
 	if len(b.buf) == 0 {
 		return
 	}
-	if b.bulk != nil {
-		//lint:ignore hotcall one dispatch per 256-event batch is the amortization this type exists for
-		b.bulk.RecordBatch(b.buf)
-	} else {
-		for i := range b.buf {
-			ev := &b.buf[i]
-			switch ev.Kind {
-			case trace.KindAlloc:
-				//lint:ignore hotcall non-bulk recorder fallback: per-event dispatch is the legacy path, not the pinned one
-				b.rec.Alloc(ev.Site, ev.Stack, ev.Addr, ev.Size)
-			case trace.KindFree:
-				//lint:ignore hotcall non-bulk recorder fallback: per-event dispatch is the legacy path, not the pinned one
-				b.rec.Free(ev.Addr)
-			case trace.KindRealloc:
-				//lint:ignore hotcall non-bulk recorder fallback: per-event dispatch is the legacy path, not the pinned one
-				b.rec.Realloc(ev.Addr, ev.Addr2, ev.Size)
-			case trace.KindAccess:
-				//lint:ignore hotcall non-bulk recorder fallback: per-event dispatch is the legacy path, not the pinned one
-				b.rec.Access(ev.Addr, ev.Size, ev.Write)
-			}
-		}
-	}
+	//lint:ignore hotcall one dispatch per 256-event batch is the amortization this type exists for
+	b.rec.RecordBatch(b.buf)
 	b.buf = b.buf[:0]
 }
 

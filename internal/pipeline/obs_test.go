@@ -54,6 +54,9 @@ func TestObsNoopParity(t *testing.T) {
 	if n := opt2.Metrics.Counter("prefix_run_mallocs_total", "benchmark", "mcf", "run", "baseline").Value(); n != plain.Baseline.Metrics.Mallocs {
 		t.Errorf("registry mallocs = %d, want %d", n, plain.Baseline.Metrics.Mallocs)
 	}
+	if n := opt2.Metrics.Counter("prefix_trace_recorded_events_total", "benchmark", "mcf").Value(); n != uint64(plain.Profile.Analysis.Events) {
+		t.Errorf("registry recorded events = %d, want %d", n, plain.Profile.Analysis.Events)
+	}
 }
 
 // spanNames returns the names of a span's direct children.

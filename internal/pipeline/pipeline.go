@@ -8,8 +8,6 @@ package pipeline
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"prefix/internal/baselines"
 	"prefix/internal/cachesim"
@@ -82,19 +80,6 @@ type Options struct {
 	// Deprecated: trace analysis is always single-pass. The field is
 	// read nowhere and stays only so existing callers keep compiling.
 	Shards int
-	// Stream routes profiling runs through the bounded-memory path: the
-	// machine records into a spill-to-disk chunked trace file and the
-	// analysis consumes it as a stream, so peak trace-buffer memory is
-	// one chunk instead of the whole trace. The resulting Profile is
-	// identical to the in-memory path's.
-	Stream bool
-	// StreamChunkEvents bounds the spill buffer in events per chunk;
-	// values < 1 select trace.DefaultChunkEvents.
-	StreamChunkEvents int
-	// StreamDir is where profiling spill files are created (the system
-	// temp directory when empty). Files are removed when the profile
-	// collection returns.
-	StreamDir string
 }
 
 // progress invokes the Progress callback when one is set.
@@ -146,8 +131,8 @@ type Profile struct {
 	CollapsedRefs   int
 	// Metrics of the profiling run itself.
 	Metrics machine.Metrics
-	// Stats is what the profiling recorder captured (event count, spill
-	// chunking) — the event total feeds host-cost throughput accounting.
+	// Stats is what the profiling recorder captured; the event total
+	// feeds host-cost throughput accounting.
 	Stats trace.RecorderStats
 	// AnalysisHost is the analyze stage's own host-cost sample (wall
 	// time, allocation, events/sec over the trace's events), measured
@@ -175,17 +160,13 @@ func CollectProfile(spec workloads.Spec, opt Options) (*Profile, error) {
 // collectProfile is CollectProfile under a caller-provided parent span:
 // it emits one child span per profiling stage (profile-run, analyze,
 // hotness, hds-mining) and publishes the stage counters when a registry
-// is attached. Options.Stream selects the bounded-memory recording and
-// analysis path; the resulting Profile is identical either way.
+// is attached.
 func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profile, error) {
 	name := spec.Program.Name()
 	sc := opt.Perf.Begin("profile").AttachSpan(parent)
 	defer sc.End()
 
-	a, metrics, stats, anHost, err := profileRun(spec, opt, parent)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: %s streaming profile: %w", name, err)
-	}
+	a, metrics, stats, anHost := profileRun(spec, opt, parent)
 	sc.AddEvents(stats.Events)
 	if a.HeapAccesses == 0 {
 		return nil, fmt.Errorf("pipeline: %s profiling run produced no heap accesses", name)
@@ -233,92 +214,33 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 }
 
 // profileRun runs the profiling input under the tracing machine with
-// the baseline allocator, then analyzes the recorded trace. By default
-// the whole trace is recorded in memory. Options.Stream records through
-// a spill-to-disk recorder into a temporary chunked trace file instead,
-// which is then analyzed as a stream, so trace-buffer memory never
-// exceeds one chunk (StreamChunkEvents events). The analysis is
-// identical either way.
-func profileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample, error) {
-	var (
-		metrics machine.Metrics
-		stats   trace.RecorderStats
-		memRec  *trace.Recorder
-		spill   *trace.SpillRecorder
-		f       *os.File
-		rec     trace.EventRecorder
-		err     error
-	)
+// the baseline allocator, recording the whole trace in memory, then
+// analyzes it. The profiling input is the smallest run of a benchmark,
+// so its trace stays in memory; bounded-memory recording to a file is
+// prefix-trace -stream's job.
+func profileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample) {
 	runSpan := parent.Child("profile-run")
-	if opt.Stream {
-		if f, err = os.CreateTemp(opt.StreamDir, "prefix-spill-*.pfxt"); err != nil {
-			runSpan.End()
-			return nil, metrics, stats, nil, err
-		}
-		defer func() {
-			f.Close()
-			os.Remove(f.Name())
-		}()
-		if spill, err = trace.NewSpillRecorder(f, opt.StreamChunkEvents); err != nil {
-			runSpan.End()
-			return nil, metrics, stats, nil, err
-		}
-		rec = spill
-	} else {
-		memRec = trace.NewRecorder()
-		rec = memRec
-	}
+	rec := trace.NewRecorder()
 	m := machine.New(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, machine.WithRecorder(rec))
 	spec.Program.Run(m, spec.Profile)
-	metrics = m.Finish()
-	if opt.Stream {
-		if err = spill.Close(); err != nil {
-			runSpan.End()
-			return nil, metrics, stats, nil, err
-		}
-		stats = spill.Stats()
-		runSpan.Set("events", stats.Events)
-		runSpan.Set("chunks", stats.Chunks)
-		runSpan.Set("peak_buffered_events", stats.PeakBufferedEvents)
-	} else {
-		stats = memRec.Stats()
-		runSpan.Set("events", stats.Events)
-	}
+	metrics := m.Finish()
+	stats := rec.Stats()
+	runSpan.Set("events", stats.Events)
 	runSpan.End()
 
 	anSpan := parent.Child("analyze")
 	defer anSpan.End()
 	asc := opt.Perf.Begin("analyze").AttachSpan(anSpan)
-	var a *trace.Analysis
-	if opt.Stream {
-		a, err = analyzeSpill(f)
-	} else {
-		// Analyze the slice directly: going through its Source would
-		// add an interface call per event.
-		a = trace.Analyze(memRec.Trace())
-	}
+	// Analyze the slice directly: going through its Source would add an
+	// interface call per event.
+	a := trace.Analyze(rec.Trace())
 	asc.AddEvents(stats.Events)
 	sample := asc.End()
-	if err != nil {
-		return nil, metrics, stats, nil, err
-	}
 	anSpan.Set("objects", len(a.Objects))
 	anSpan.Set("heap_accesses", a.HeapAccesses)
 	var host *perfstat.Sample
 	if opt.Perf != nil {
 		host = &sample
 	}
-	return a, metrics, stats, host, nil
-}
-
-// analyzeSpill analyzes a spill file from its start as a stream.
-func analyzeSpill(f *os.File) (*trace.Analysis, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	sr, err := trace.NewStreamReader(f)
-	if err != nil {
-		return nil, err
-	}
-	return trace.AnalyzeSource(sr)
+	return a, metrics, stats, host
 }

@@ -1,11 +1,8 @@
 package pipeline
 
 import (
-	"path/filepath"
-	"reflect"
 	"testing"
 
-	"prefix/internal/obs"
 	"prefix/internal/prefix"
 	"prefix/internal/workloads"
 )
@@ -156,99 +153,5 @@ func TestTraceBaselineAndBest(t *testing.T) {
 	}
 	if variant != cmp.Best {
 		t.Errorf("traced variant = %v, but the comparison's best is %v", variant, cmp.Best)
-	}
-}
-
-// TestCollectProfileStreamingParity is the tentpole acceptance check at
-// the pipeline layer: the bounded-memory streaming profile must be
-// identical to the in-memory reference profile.
-func TestCollectProfileStreamingParity(t *testing.T) {
-	spec, err := workloads.Get("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := CollectProfile(spec, fastOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt := fastOpt()
-	opt.Stream = true
-	opt.StreamChunkEvents = 512
-	opt.StreamDir = t.TempDir()
-	opt.Metrics = obs.NewRegistry()
-	streamed, err := CollectProfile(spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(plain.Analysis, streamed.Analysis) {
-		t.Error("streaming analysis differs from in-memory analysis")
-	}
-	if !reflect.DeepEqual(plain.Hot, streamed.Hot) {
-		t.Error("hot sets differ")
-	}
-	if !reflect.DeepEqual(plain.StreamsLCS, streamed.StreamsLCS) ||
-		!reflect.DeepEqual(plain.StreamsSequitur, streamed.StreamsSequitur) {
-		t.Error("mined streams differ")
-	}
-	if plain.Metrics != streamed.Metrics {
-		t.Errorf("profiling-run metrics differ:\n plain %+v\nstream %+v", plain.Metrics, streamed.Metrics)
-	}
-
-	// The recorder metrics must reflect a genuinely bounded run.
-	reg := opt.Metrics
-	events := reg.Counter("prefix_trace_recorded_events_total", "benchmark", "mcf").Value()
-	if events != uint64(plain.Analysis.Events) {
-		t.Errorf("recorded events = %d, want %d", events, plain.Analysis.Events)
-	}
-	if chunks := reg.Counter("prefix_trace_spilled_chunks_total", "benchmark", "mcf").Value(); chunks == 0 {
-		t.Error("no chunks spilled at chunk size 512")
-	}
-	if peak := reg.Gauge("prefix_trace_peak_buffered_events", "benchmark", "mcf").Value(); peak > 512 {
-		t.Errorf("peak buffered events = %v, above the 512 budget", peak)
-	}
-}
-
-// TestRunBenchmarkStreamingParity runs the full pipeline with streaming
-// profiles: every downstream number must be unchanged.
-func TestRunBenchmarkStreamingParity(t *testing.T) {
-	plain, err := RunBenchmark("ft", fastOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := fastOpt()
-	opt.Stream = true
-	opt.StreamChunkEvents = 1024
-	opt.StreamDir = t.TempDir()
-	streamed, err := RunBenchmark("ft", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Baseline.Metrics, streamed.Baseline.Metrics) {
-		t.Error("baseline metrics differ under streaming profiles")
-	}
-	for _, v := range fastOpt().Variants {
-		if plain.PreFix[v].Metrics != streamed.PreFix[v].Metrics {
-			t.Errorf("%v metrics differ under streaming profiles", v)
-		}
-	}
-	if plain.Best != streamed.Best {
-		t.Errorf("best variant differs: plain %v, streamed %v", plain.Best, streamed.Best)
-	}
-}
-
-// TestCollectProfileStreamBadDir surfaces spill-file creation failures
-// as errors instead of panics.
-func TestCollectProfileStreamBadDir(t *testing.T) {
-	spec, err := workloads.Get("ft")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := fastOpt()
-	opt.Stream = true
-	opt.StreamDir = filepath.Join(t.TempDir(), "does", "not", "exist")
-	if _, err := CollectProfile(spec, opt); err == nil {
-		t.Fatal("missing spill dir should fail profile collection")
 	}
 }

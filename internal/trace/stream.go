@@ -8,19 +8,14 @@ import (
 	"fmt"
 	"io"
 
-	"prefix/internal/mem"
 	"prefix/internal/obs"
 )
 
 // This file is the streaming half of the trace layer. The in-memory
-// *Trace stays the reference implementation, but every consumer that can
-// work single-pass goes through the Source/Sink pair so profiling runs
-// with tens of millions of events never materialize the whole stream:
-//
-//	Source — pull iterator over events (in-memory slice, or an
-//	         incremental decode of a trace file)
-//	Sink   — incremental consumer (in-memory slice, or the chunked
-//	         stream writer that spills fixed-size chunks to disk)
+// *Trace stays the reference implementation; a trace file is written
+// incrementally by the chunked StreamWriter (which the SpillRecorder
+// feeds) and read back through the Source pull iterator, so traces with
+// tens of millions of events never materialize the whole stream.
 //
 // The chunked stream format (version 2 of the PFXT container) reuses the
 // version-1 event encoding byte for byte — the delta-encoder state runs
@@ -64,36 +59,16 @@ type Source interface {
 	Instr() uint64
 }
 
-// Sink is an incremental consumer of an event stream.
-type Sink interface {
-	// Append adds the next event in trace order.
-	Append(Event) error
-	// SetInstr records the run's total dynamic instruction count; call
-	// it before Close.
-	SetInstr(uint64)
-	// Close finalizes the stream. No Append may follow.
-	Close() error
-}
-
 // EventRecorder is the write interface the machine layer feeds during a
-// profiled run. *Recorder (in-memory) and *SpillRecorder (bounded
+// profiled run: the machine batches its events and hands each batch
+// over in one call. *Recorder (in-memory) and *SpillRecorder (bounded
 // memory) both implement it.
 type EventRecorder interface {
-	Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64)
-	Free(addr mem.Addr)
-	Realloc(old, new mem.Addr, size uint64)
-	Access(addr mem.Addr, size uint64, write bool)
-	AddInstr(n uint64)
-}
-
-// BatchRecorder is implemented by recorders that accept events in bulk.
-// The machine layer batches its event hand-off and delivers whole
-// batches through this when available, so the per-event recording cost
-// is an append into the batch rather than an interface dispatch;
-// semantics are identical to feeding the events one at a time through
-// EventRecorder.
-type BatchRecorder interface {
+	// RecordBatch appends evs, in trace order. The recorder must not
+	// retain evs; the caller reuses its storage.
 	RecordBatch(evs []Event)
+	// AddInstr accumulates the run's dynamic instruction count.
+	AddInstr(n uint64)
 }
 
 // RecorderStats describes what a recorder captured and how much of it
@@ -119,7 +94,7 @@ func (s RecorderStats) Publish(reg *obs.Registry, kv ...string) {
 	reg.Gauge("prefix_trace_peak_buffered_events", kv...).Set(float64(s.PeakBufferedEvents))
 }
 
-// --- In-memory Trace as Source and Sink -------------------------------
+// --- In-memory Trace as Source ----------------------------------------
 
 // Source returns an iterator over the in-memory events.
 func (t *Trace) Source() Source { return &sliceSource{t: t} }
@@ -141,23 +116,9 @@ func (s *sliceSource) Next() (Event, bool) {
 func (s *sliceSource) Err() error    { return nil }
 func (s *sliceSource) Instr() uint64 { return s.t.Instr }
 
-// Append implements Sink by growing the in-memory slice.
-func (t *Trace) Append(ev Event) error {
-	t.Events = append(t.Events, ev)
-	return nil
-}
-
-// SetInstr implements Sink.
-func (t *Trace) SetInstr(n uint64) { t.Instr = n }
-
-// Close implements Sink; the in-memory trace needs no finalization.
-func (t *Trace) Close() error { return nil }
-
 var (
-	_ Sink          = (*Trace)(nil)
 	_ EventRecorder = (*Recorder)(nil)
-	_ BatchRecorder = (*Recorder)(nil)
-	_ BatchRecorder = (*SpillRecorder)(nil)
+	_ EventRecorder = (*SpillRecorder)(nil)
 )
 
 // --- Chunked stream writer --------------------------------------------
@@ -215,8 +176,7 @@ func (sw *StreamWriter) fail(err error) error {
 	return sw.err
 }
 
-// Append implements Sink: encode the event into the open chunk,
-// flushing it when full.
+// Append encodes the event into the open chunk, flushing it when full.
 func (sw *StreamWriter) Append(ev Event) error {
 	if sw.err != nil {
 		return sw.err
@@ -296,7 +256,8 @@ func (sw *StreamWriter) flushChunk() error {
 	return nil
 }
 
-// SetInstr implements Sink; the count lands in the stream terminator.
+// SetInstr records the run's total dynamic instruction count; it lands
+// in the stream terminator, so call it before Close.
 func (sw *StreamWriter) SetInstr(n uint64) { sw.instr = n }
 
 // Close flushes the final partial chunk and writes the terminator.
@@ -328,8 +289,6 @@ func (sw *StreamWriter) Close() error {
 
 // Stats reports what the writer has accepted and spilled so far.
 func (sw *StreamWriter) Stats() RecorderStats { return sw.stats }
-
-var _ Sink = (*StreamWriter)(nil)
 
 // --- Chunked / classic stream reader ----------------------------------
 
@@ -537,18 +496,17 @@ var _ Source = (*StreamReader)(nil)
 // chunked trace file as chunks fill, so the run's peak trace-buffer
 // memory is one chunk regardless of trace length.
 //
-// The Env recording methods cannot return errors, so a write failure is
-// latched: recording becomes a no-op and the error surfaces from Err and
-// Close. Callers must Close the recorder (which writes the stream
+// RecordBatch cannot return an error, so a write failure is latched:
+// recording becomes a no-op and the error surfaces from Err and Close. Callers must Close the recorder (which writes the stream
 // terminator) before reading the spill file back.
 type SpillRecorder struct {
 	sw    *StreamWriter
 	instr uint64
 }
 
-// NewSpillRecorder starts a spilling recorder over w (typically a temp
-// file). chunkEvents bounds the in-memory buffer; values < 1 select
-// DefaultChunkEvents.
+// NewSpillRecorder starts a spilling recorder over w (typically the
+// output trace file). chunkEvents bounds the in-memory buffer; values
+// < 1 select DefaultChunkEvents.
 func NewSpillRecorder(w io.Writer, chunkEvents int) (*SpillRecorder, error) {
 	sw, err := NewStreamWriter(w, chunkEvents)
 	if err != nil {
@@ -557,29 +515,9 @@ func NewSpillRecorder(w io.Writer, chunkEvents int) (*SpillRecorder, error) {
 	return &SpillRecorder{sw: sw}, nil
 }
 
-// Alloc implements EventRecorder.
-func (r *SpillRecorder) Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64) {
-	_ = r.sw.Append(Event{Kind: KindAlloc, Site: site, Stack: stack, Addr: addr, Size: size})
-}
-
-// Free implements EventRecorder.
-func (r *SpillRecorder) Free(addr mem.Addr) {
-	_ = r.sw.Append(Event{Kind: KindFree, Addr: addr})
-}
-
-// Realloc implements EventRecorder.
-func (r *SpillRecorder) Realloc(old, new mem.Addr, size uint64) {
-	_ = r.sw.Append(Event{Kind: KindRealloc, Addr: old, Addr2: new, Size: size})
-}
-
-// Access implements EventRecorder.
-func (r *SpillRecorder) Access(addr mem.Addr, size uint64, write bool) {
-	_ = r.sw.Append(Event{Kind: KindAccess, Addr: addr, Size: size, Write: write})
-}
-
-// RecordBatch implements BatchRecorder: the batch bulk-encodes through
-// the stream writer, flushing chunks as they fill. Write errors latch
-// exactly as on the per-event path.
+// RecordBatch implements EventRecorder: the batch bulk-encodes through
+// the stream writer, flushing chunks as they fill. A write error is
+// latched (see SpillRecorder).
 func (r *SpillRecorder) RecordBatch(evs []Event) {
 	_ = r.sw.AppendBatch(evs)
 }
@@ -599,8 +537,6 @@ func (r *SpillRecorder) Close() error {
 // Stats reports events recorded, chunks spilled, and the peak number of
 // buffered events.
 func (r *SpillRecorder) Stats() RecorderStats { return r.sw.Stats() }
-
-var _ EventRecorder = (*SpillRecorder)(nil)
 
 // --- Streaming analysis ------------------------------------------------
 

@@ -188,45 +188,50 @@ func TestStreamOverlongChunkHeaderRejected(t *testing.T) {
 	}
 }
 
+// TestTraceSourceSink: the in-memory Source replays the trace, and a
+// Recorder fed from it records the same trace.
 func TestTraceSourceSink(t *testing.T) {
 	tr := record()
-	var sink Trace
+	sink := NewRecorder()
 	src := tr.Source()
 	for {
 		ev, ok := src.Next()
 		if !ok {
 			break
 		}
-		if err := sink.Append(ev); err != nil {
-			t.Fatal(err)
-		}
+		sink.RecordBatch([]Event{ev})
 	}
-	sink.SetInstr(src.Instr())
-	if err := sink.Close(); err != nil {
+	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sink.Events, tr.Events) || sink.Instr != tr.Instr {
-		t.Fatal("Trace source->sink copy differs")
+	sink.AddInstr(src.Instr())
+	got := sink.Trace()
+	if !reflect.DeepEqual(got.Events, tr.Events) || got.Instr != tr.Instr {
+		t.Fatal("Trace source->recorder copy differs")
 	}
 }
 
 func TestSpillRecorderMatchesRecorder(t *testing.T) {
-	// Drive both recorders with the same calls; the spill file must
-	// decode to exactly the in-memory trace.
+	// Feed both recorders the same batches; the spill file must decode
+	// to exactly the in-memory trace.
 	mm := NewRecorder()
 	var buf bytes.Buffer
 	sp, err := NewSpillRecorder(&buf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	evs := []Event{
+		{Kind: KindAlloc, Site: 1, Stack: 0xabc, Addr: 0x1000, Size: 64},
+		{Kind: KindAccess, Addr: 0x1000, Size: 8},
+		{Kind: KindAccess, Addr: 0x1020, Size: 8, Write: true},
+		{Kind: KindAlloc, Site: 2, Stack: 0xdef, Addr: 0x2000, Size: 32},
+		{Kind: KindFree, Addr: 0x1000},
+		{Kind: KindRealloc, Addr: 0x2000, Addr2: 0x3000, Size: 96},
+		{Kind: KindAccess, Addr: 0x3000, Size: 8, Write: true},
+	}
 	for _, rec := range []EventRecorder{mm, sp} {
-		rec.Alloc(1, 0xabc, 0x1000, 64)
-		rec.Access(0x1000, 8, false)
-		rec.Access(0x1020, 8, true)
-		rec.Alloc(2, 0xdef, 0x2000, 32)
-		rec.Free(0x1000)
-		rec.Realloc(0x2000, 0x3000, 96)
-		rec.Access(0x3000, 8, true)
+		rec.RecordBatch(evs[:2])
+		rec.RecordBatch(evs[2:])
 		rec.AddInstr(4321)
 	}
 	if err := sp.Close(); err != nil {
@@ -262,7 +267,7 @@ func TestSpillRecorderLatchesWriteError(t *testing.T) {
 	}
 	f.Close() // every subsequent chunk flush fails
 	for i := 0; i < 10; i++ {
-		sp.Access(0x1000, 8, false) // must not panic
+		sp.RecordBatch([]Event{{Kind: KindAccess, Addr: 0x1000, Size: 8}}) // must not panic
 	}
 	if sp.Err() == nil && sp.Close() == nil {
 		t.Fatal("write error on closed file never surfaced")
@@ -517,13 +522,14 @@ func TestStreamBoundedMemoryLargeTrace(t *testing.T) {
 	// 1M rounds of alloc + 9 accesses + free: >10M events with a live
 	// set of one object, so the analyzer side stays small too.
 	const rounds = 1_000_000
+	round := make([]Event, 0, 11)
 	for i := 0; i < rounds; i++ {
 		addr := mem.Addr(0x1000 + uint64(i%64)*0x100)
-		rec.Alloc(mem.SiteID(i%7+1), mem.StackSig(i%13), addr, 128)
+		round = append(round[:0], Event{Kind: KindAlloc, Site: mem.SiteID(i%7 + 1), Stack: mem.StackSig(i % 13), Addr: addr, Size: 128})
 		for j := 0; j < 9; j++ {
-			rec.Access(addr+mem.Addr(j*8), 8, j%2 == 0)
+			round = append(round, Event{Kind: KindAccess, Addr: addr + mem.Addr(j*8), Size: 8, Write: j%2 == 0})
 		}
-		rec.Free(addr)
+		rec.RecordBatch(append(round, Event{Kind: KindFree, Addr: addr}))
 	}
 	rec.AddInstr(rounds * 11)
 	if err := rec.Close(); err != nil {

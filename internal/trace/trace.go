@@ -50,7 +50,8 @@ type Trace struct {
 }
 
 // Recorder accumulates events during a profiling run. The machine layer
-// feeds it; analyses read the resulting Trace.
+// feeds it batches through RecordBatch; the per-event methods build
+// traces by hand. Analyses read the resulting Trace.
 type Recorder struct {
 	tr Trace
 }
@@ -78,7 +79,7 @@ func (r *Recorder) Access(addr mem.Addr, size uint64, write bool) {
 	r.tr.Events = append(r.tr.Events, Event{Kind: KindAccess, Addr: addr, Size: size, Write: write})
 }
 
-// RecordBatch implements BatchRecorder: one bulk append of the batch
+// RecordBatch implements EventRecorder: one bulk append of the batch
 // into the in-memory event slice.
 func (r *Recorder) RecordBatch(evs []Event) {
 	r.tr.Events = append(r.tr.Events, evs...)

@@ -168,15 +168,12 @@ type (
 )
 
 // Streaming re-exports: the bounded-memory trace architecture. A
-// TraceSource pulls events one at a time, a TraceSink consumes them, and
-// the spill recorder keeps profiling runs within a fixed event budget by
-// streaming chunks to a backing writer (see DESIGN.md "Streaming trace
-// architecture").
+// TraceSource pulls events one at a time, and the spill recorder keeps a
+// recorded run within a fixed event budget by streaming chunks to a
+// backing writer (see DESIGN.md "Streaming trace architecture").
 type (
 	// TraceSource is a pull iterator over an event stream.
 	TraceSource = trace.Source
-	// TraceSink is an incremental consumer of an event stream.
-	TraceSink = trace.Sink
 	// EventRecorder is the recorder interface a tracing machine feeds;
 	// *Recorder and *SpillRecorder both implement it.
 	EventRecorder = trace.EventRecorder
