@@ -34,11 +34,13 @@ lint:
 # diffed against the committed one. Findings fail the target; budget
 # drift that breaks no invariant (e.g. an inline cost change) is
 # surfaced in lint-out/escape-budget.diff but does not fail.
+# prefix-lint is built once into .bin/ for both runs.
 lint-perf:
 	@rm -rf lint-out && mkdir -p lint-out
-	@$(GO) run ./cmd/prefix-lint -analyzers hotalloc,hotcall,escapebudget -json ./... > lint-out/findings.json; \
+	@$(GO) build -o .bin/prefix-lint ./cmd/prefix-lint
+	@.bin/prefix-lint -analyzers hotalloc,hotcall,escapebudget -json ./... > lint-out/findings.json; \
 	status=$$?; \
-	$(GO) run ./cmd/prefix-lint -analyzers escapebudget -record -budget lint-out/escape-budget.json ./... 2>/dev/null; \
+	.bin/prefix-lint -analyzers escapebudget -record -budget lint-out/escape-budget.json ./... 2>/dev/null; \
 	diff -u testdata/escape-budget.json lint-out/escape-budget.json > lint-out/escape-budget.diff; \
 	if [ -s lint-out/escape-budget.diff ]; then \
 		echo "lint-perf: escape budget drifted from testdata/escape-budget.json (see lint-out/escape-budget.diff)"; \
@@ -65,9 +67,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # One-iteration smoke of the inner-loop microbenchmarks (cache probe,
-# hierarchy walk, machine event loop, LCS kernel, miners). Catches
-# compile breakage and gross regressions in CI without paying for a real
-# measurement; use `make bench` for numbers.
+# hierarchy walk, machine event loop, LCS kernel, miners, analyzer
+# feed). Catches compile breakage and gross regressions in CI without
+# paying for a real measurement; use `make bench` for numbers.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ \
 		./internal/cachesim ./internal/machine ./internal/hds ./internal/trace
@@ -91,7 +93,7 @@ bench-gate:
 # Host-cost smoke gate: the perfstat end-to-end tests (every suite job
 # carries a host sample; events/sec > 0; cost attribution tracks scale;
 # attaching the collector leaves the report byte-identical and costs
-# < 2% wall), then the baseline diff — schema-v2 baselines carry host
+# < 5 ms per probe), then the baseline diff — schema-v2 baselines carry host
 # fields, so an events/sec collapse past the slack-adjusted threshold
 # fails the gate alongside the simulated metrics.
 perf-smoke:
@@ -100,12 +102,14 @@ perf-smoke:
 	$(MAKE) bench-gate
 
 # Short fuzzing pass over the untrusted-input decoder (FuzzRead: the
-# trace container readers must agree and fail closed) and the LCS
-# kernel (FuzzLCS: bit-parallel kernel = dynamic-programming oracle).
-# Override FUZZTIME for a longer run.
+# trace container readers must agree and fail closed), the analyzer's
+# interval index (FuzzIntervalIndex: blocked index = sorted-slice
+# oracle) and the LCS kernel (FuzzLCS: bit-parallel kernel =
+# dynamic-programming oracle). Override FUZZTIME for a longer run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIntervalIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hds -run '^$$' -fuzz '^FuzzLCS$$' -fuzztime $(FUZZTIME)
 
 # Print each benchmark's events/sec and miss-rate trends across the

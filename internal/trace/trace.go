@@ -12,6 +12,8 @@
 package trace
 
 import (
+	"slices"
+
 	"prefix/internal/mem"
 )
 
@@ -153,12 +155,27 @@ type Analyzer struct {
 	a *Analysis
 	// idx maps live address intervals -> objects for containment
 	// queries: the workloads access addresses inside [base, base+size),
-	// so live intervals sit in an ordered slice with binary search.
+	// so live intervals sit in a blocked sorted index (interval.go).
 	idx      *intervalIndex
 	live     uint64
 	siteLive map[mem.SiteID]uint64
 	i        int // event index == logical time
+	// The reference string is built in chunks and concatenated once by
+	// Finish: ref/refAt are the chunk being filled, refChunks/atChunks
+	// the full ones. Growing one slice instead re-copies (and faults in
+	// fresh memory for) the string several times over on long traces.
+	ref       []mem.ObjectID
+	refAt     []int
+	refChunks [][]mem.ObjectID
+	atChunks  [][]int
 }
+
+// Reference-string chunk capacities: the first chunk is small so that
+// tiny traces do not over-allocate, every later one is refChunk long.
+const (
+	firstRefChunk = 1 << 10
+	refChunk      = 1 << 16
+)
 
 // NewAnalyzer returns an empty incremental analyzer.
 func NewAnalyzer() *Analyzer {
@@ -225,10 +242,25 @@ func (an *Analyzer) Feed(ev Event) {
 			} else {
 				obj.Reads++
 			}
-			a.Refs = append(a.Refs, obj.ID)
-			a.RefAt = append(a.RefAt, i)
+			if len(an.ref) == cap(an.ref) {
+				an.newRefChunk()
+			}
+			an.ref = append(an.ref, obj.ID)
+			an.refAt = append(an.refAt, i)
 		}
 	}
+}
+
+// newRefChunk retires the full current chunk and starts the next one.
+func (an *Analyzer) newRefChunk() {
+	n := firstRefChunk
+	if an.ref != nil {
+		an.refChunks = append(an.refChunks, an.ref)
+		an.atChunks = append(an.atChunks, an.refAt)
+		n = refChunk
+	}
+	an.ref = make([]mem.ObjectID, 0, n)
+	an.refAt = make([]int, 0, n)
 }
 
 // SetInstr records the traced run's dynamic instruction count.
@@ -238,6 +270,9 @@ func (an *Analyzer) SetInstr(n uint64) { an.a.Instr = n }
 // after.
 func (an *Analyzer) Finish() *Analysis {
 	an.a.Events = an.i
+	// Concat returns nil when no access hit the heap.
+	an.a.Refs = slices.Concat(append(an.refChunks, an.ref)...)
+	an.a.RefAt = slices.Concat(append(an.atChunks, an.refAt)...)
 	return an.a
 }
 

@@ -90,6 +90,9 @@ func TestAnalyzeNonHeapAccess(t *testing.T) {
 	if a.HeapAccesses != 0 || a.TotalAccesses != 1 {
 		t.Errorf("heap=%d total=%d", a.HeapAccesses, a.TotalAccesses)
 	}
+	if a.Refs != nil || a.RefAt != nil {
+		t.Errorf("no heap access: Refs=%v RefAt=%v, want nil slices", a.Refs, a.RefAt)
+	}
 }
 
 func TestAnalyzeSiteTables(t *testing.T) {
@@ -289,5 +292,24 @@ func TestIntervalIndexMany(t *testing.T) {
 		if x.find(base+0x80) != nil {
 			t.Fatalf("gap lookup %d should miss", i)
 		}
+	}
+}
+
+// TestAnalyzerFeedAccessAllocatesNothing pins the access path: once the
+// first reference-string chunk exists, an access that hits a live object
+// (here one of 1000, so the lookup crosses several index blocks) costs
+// no allocation.
+func TestAnalyzerFeedAccessAllocatesNothing(t *testing.T) {
+	an := NewAnalyzer()
+	for k := 0; k < 1000; k++ {
+		an.Feed(Event{Kind: KindAlloc, Site: 1, Addr: mem.Addr(0x1000 + 64*k), Size: 48})
+	}
+	hit := Event{Kind: KindAccess, Addr: 0x1000 + 64*700 + 40, Size: 8}
+	an.Feed(hit)
+	if n := testing.AllocsPerRun(100, func() { an.Feed(hit) }); n != 0 {
+		t.Errorf("feeding a heap access allocated %v times per event, want 0", n)
+	}
+	if a := an.Finish(); len(a.Refs) != 102 || a.Refs[101] != 701 {
+		t.Errorf("refs = %d entries ending in %v, want 102 ending in 701", len(a.Refs), a.Refs[len(a.Refs)-1])
 	}
 }
