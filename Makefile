@@ -68,11 +68,13 @@ bench:
 
 # One-iteration smoke of the inner-loop microbenchmarks (cache probe,
 # hierarchy walk, machine event loop, LCS kernel, miners, analyzer
-# feed). Catches compile breakage and gross regressions in CI without
-# paying for a real measurement; use `make bench` for numbers.
+# feed, heap malloc/free churn). Catches compile breakage and gross
+# regressions in CI without paying for a real measurement; use
+# `make bench` for numbers.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ \
-		./internal/cachesim ./internal/machine ./internal/hds ./internal/trace
+		./internal/cachesim ./internal/machine ./internal/hds ./internal/trace \
+		./internal/simalloc
 
 # Fast end-to-end smoke of the parallel harness.
 bench-smoke:
@@ -104,13 +106,16 @@ perf-smoke:
 # Short fuzzing pass over the untrusted-input decoder (FuzzRead: the
 # trace container readers must agree and fail closed), the analyzer's
 # interval index (FuzzIntervalIndex: blocked index = sorted-slice
-# oracle) and the LCS kernel (FuzzLCS: bit-parallel kernel =
-# dynamic-programming oracle). Override FUZZTIME for a longer run.
+# oracle), the LCS kernel (FuzzLCS: bit-parallel kernel =
+# dynamic-programming oracle) and the heap allocator (FuzzHeap: dense
+# heap = map-based oracle, invariants after every op). Override
+# FUZZTIME for a longer run.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIntervalIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hds -run '^$$' -fuzz '^FuzzLCS$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/simalloc -run '^$$' -fuzz '^FuzzHeap$$' -fuzztime $(FUZZTIME)
 
 # Print each benchmark's events/sec and miss-rate trends across the
 # committed BENCH_*.json snapshots (no benchmarks are run).

@@ -193,9 +193,10 @@ type Machine struct {
 type Option func(*Machine)
 
 // WithRecorder attaches a trace recorder (profiling runs): the
-// in-memory *trace.Recorder or the bounded-memory *trace.SpillRecorder.
-// Events reach the recorder in batches; Finish flushes the final
-// partial batch, so read the recorder only after Finish.
+// in-memory *trace.Recorder, the bounded-memory *trace.SpillRecorder, or
+// a *trace.Analyzer, which analyzes each batch as it arrives and keeps
+// no trace. Events reach the recorder in batches; Finish flushes the
+// final partial batch, so read the recorder only after Finish.
 func WithRecorder(r trace.EventRecorder) Option {
 	return func(m *Machine) { m.rec = newEventBatch(r) }
 }

@@ -58,6 +58,8 @@ func PageOf(a Addr) uint64 { return uint64(a) >> PageShift }
 
 // AlignUp rounds n up to the next multiple of align. align must be a
 // power of two.
+//
+//prefix:hotpath
 func AlignUp(n, align uint64) uint64 {
 	return (n + align - 1) &^ (align - 1)
 }

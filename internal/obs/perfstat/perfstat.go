@@ -124,6 +124,21 @@ func (c *Collector) SetClock(now func() time.Time) {
 	c.now = now
 }
 
+// Now reads the collector's clock: the wall clock unless SetClock
+// replaced it. It times work of a phase that runs interleaved with
+// another phase's, in intervals too short for a Scope each; the summed
+// time is credited with Scope.AddWall. A nil collector returns the zero
+// time.
+func (c *Collector) Now() time.Time {
+	if c == nil {
+		return time.Time{}
+	}
+	c.mu.Lock()
+	now := c.now
+	c.mu.Unlock()
+	return now()
+}
+
 // SetProbe replaces the runtime reader (deterministic tests).
 func (c *Collector) SetProbe(probe func() Probe) {
 	if c == nil {
@@ -145,6 +160,7 @@ type Scope struct {
 	start  time.Time
 	begin  Probe
 	events uint64
+	extra  time.Duration // wall time credited by AddWall
 	done   bool
 }
 
@@ -184,6 +200,16 @@ func (s *Scope) AttachSpan(sp *obs.Span) *Scope {
 func (s *Scope) AddEvents(n uint64) {
 	if s != nil {
 		s.events += n
+	}
+}
+
+// AddWall credits the scope with d of wall time measured outside it
+// (with Collector.Now): the phase's own work that ran interleaved with
+// another phase. End adds it to the sample's wall time; allocation and
+// GC deltas still cover only the scope's own lifetime. Nil-safe.
+func (s *Scope) AddWall(d time.Duration) {
+	if s != nil {
+		s.extra += d
 	}
 }
 
@@ -228,7 +254,7 @@ func (s *Scope) End() Sample {
 	}
 	sample := Sample{
 		Phase:        s.phase,
-		WallNanos:    t0.Sub(s.start).Nanoseconds(),
+		WallNanos:    (t0.Sub(s.start) + s.extra).Nanoseconds(),
 		Events:       s.events,
 		Allocs:       p.Mallocs - s.begin.Mallocs,
 		AllocBytes:   p.AllocBytes - s.begin.AllocBytes,

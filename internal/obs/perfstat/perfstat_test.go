@@ -84,6 +84,31 @@ func TestScopeDeltas(t *testing.T) {
 	}
 }
 
+// TestAddWall: time measured with Collector.Now outside a scope and
+// credited with AddWall lands in the sample's wall time and events/sec,
+// and in the phase aggregate.
+func TestAddWall(t *testing.T) {
+	c := newTestCollector(nil, time.Millisecond, Probe{})
+	// Two readings 1ms apart, the way an interleaved piece of work is
+	// timed.
+	t0 := c.Now()
+	feed := c.Now().Sub(t0)
+	sc := c.Begin("analyze")
+	sc.AddEvents(4_000_000)
+	sc.AddWall(feed)
+	sample := sc.End()
+	// 1ms inside the scope (see TestScopeDeltas) plus 1ms credited.
+	if want := int64(2 * time.Millisecond); sample.WallNanos != want {
+		t.Errorf("wall = %d, want %d", sample.WallNanos, want)
+	}
+	if got := sample.EventsPerSec(); got != 2e9 {
+		t.Errorf("events/sec = %g, want 2e9", got)
+	}
+	if ph := c.Snapshot().Phases[0]; ph.WallNanos != sample.WallNanos {
+		t.Errorf("phase wall = %d, want %d", ph.WallNanos, sample.WallNanos)
+	}
+}
+
 func TestPhaseAggregationAndSnapshot(t *testing.T) {
 	c := newTestCollector(nil, time.Millisecond, Probe{})
 	for i := 0; i < 3; i++ {
@@ -148,7 +173,11 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil collector Begin = %v, want nil scope", sc)
 	}
 	sc.AddEvents(10)
+	sc.AddWall(time.Second)
 	sc.AttachSpan(nil)
+	if !c.Now().IsZero() {
+		t.Error("nil collector Now is not the zero time")
+	}
 	if s := sc.End(); s != (Sample{}) {
 		t.Errorf("nil scope End = %+v, want zero", s)
 	}

@@ -51,14 +51,14 @@ func RunMultithreadedJobs(name string, threadCounts []int, opt Options, jobs int
 	// thread count.
 	const defaultThreads = 4
 	profScope := opt.Perf.Begin("profile")
-	rec := trace.NewRecorder()
-	profGroup := machine.NewGroup(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, defaultThreads, rec)
+	an := trace.NewAnalyzer()
+	profGroup := machine.NewGroup(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, defaultThreads, an)
 	pcfg := spec.Profile
 	pcfg.Threads = defaultThreads
 	runGroup(mt, profGroup, pcfg, defaultThreads)
 	profGroup.Finish()
-	profScope.AddEvents(rec.Stats().Events)
-	analysis := trace.Analyze(rec.Trace())
+	profScope.AddEvents(an.Stats().Events)
+	analysis := an.Finish()
 	profScope.End()
 	if analysis.HeapAccesses == 0 {
 		return nil, fmt.Errorf("pipeline: %s multithreaded profile has no heap accesses", name)

@@ -8,6 +8,7 @@ package pipeline
 
 import (
 	"fmt"
+	"time"
 
 	"prefix/internal/baselines"
 	"prefix/internal/cachesim"
@@ -214,27 +215,39 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 }
 
 // profileRun runs the profiling input under the tracing machine with
-// the baseline allocator, recording the whole trace in memory, then
-// analyzes it. The profiling input is the smallest run of a benchmark,
-// so its trace stays in memory; bounded-memory recording to a file is
-// prefix-trace -stream's job.
+// the baseline allocator, with the trace analyzer as the machine's
+// recorder: each event batch is analyzed as it is recorded, so no event
+// slice is built. The profile-run span therefore covers simulating and
+// feeding the analyzer. The analyze stage reports the analyzer's own
+// share: Finish, plus — when a host-cost collector is attached — the
+// feed time, measured once per batch and credited to the analyze sample
+// and the span's feed_ns annotation. Recording a trace to a file is
+// prefix-trace's job.
 func profileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample) {
 	runSpan := parent.Child("profile-run")
-	rec := trace.NewRecorder()
+	an := trace.NewAnalyzer()
+	var rec trace.EventRecorder = an
+	var feed *timedFeed
+	if opt.Perf != nil {
+		feed = &timedFeed{an: an, now: opt.Perf.Now}
+		rec = feed
+	}
 	m := machine.New(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, machine.WithRecorder(rec))
 	spec.Program.Run(m, spec.Profile)
 	metrics := m.Finish()
-	stats := rec.Stats()
+	stats := an.Stats()
 	runSpan.Set("events", stats.Events)
 	runSpan.End()
 
 	anSpan := parent.Child("analyze")
 	defer anSpan.End()
 	asc := opt.Perf.Begin("analyze").AttachSpan(anSpan)
-	// Analyze the slice directly: going through its Source would add an
-	// interface call per event.
-	a := trace.Analyze(rec.Trace())
+	a := an.Finish()
 	asc.AddEvents(stats.Events)
+	if feed != nil {
+		asc.AddWall(feed.elapsed)
+		anSpan.Set("feed_ns", feed.elapsed.Nanoseconds())
+	}
 	sample := asc.End()
 	anSpan.Set("objects", len(a.Objects))
 	anSpan.Set("heap_accesses", a.HeapAccesses)
@@ -244,3 +257,20 @@ func profileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Anal
 	}
 	return a, metrics, stats, host
 }
+
+// timedFeed is the profiling run's recorder when host cost is measured:
+// it passes each batch to the analyzer and sums the time the analyzer
+// spends on it, two clock reads per batch.
+type timedFeed struct {
+	an      *trace.Analyzer
+	now     func() time.Time
+	elapsed time.Duration
+}
+
+func (f *timedFeed) RecordBatch(evs []trace.Event) {
+	t0 := f.now()
+	f.an.RecordBatch(evs)
+	f.elapsed += f.now().Sub(t0)
+}
+
+func (f *timedFeed) AddInstr(n uint64) { f.an.AddInstr(n) }

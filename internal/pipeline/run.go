@@ -25,8 +25,6 @@ type RunResult struct {
 	Pollution *baselines.Pollution
 	// Capture is set for PreFix runs (Tables 5 and 6).
 	Capture *prefix.Capture
-	// Trace is the recorded evaluation trace when requested.
-	Trace *trace.Trace
 }
 
 // TimeDeltaPct returns the execution-time change of this run relative to
@@ -48,13 +46,11 @@ func evalConfig(spec workloads.Spec, opt Options) workloads.Config {
 
 // runOne executes the evaluation input on one strategy, emitting an
 // "eval <strategy>" span under parent and publishing the run's metrics
-// when opt carries a registry.
-func runOne(spec workloads.Spec, opt Options, alloc machine.Allocator, record bool, parent *obs.Span) RunResult {
+// when opt carries a registry. A non-nil rec receives the run's events.
+func runOne(spec workloads.Spec, opt Options, alloc machine.Allocator, rec trace.EventRecorder, parent *obs.Span) RunResult {
 	span := parent.Child("eval " + alloc.Name())
-	var rec *trace.Recorder
 	mopts := []machine.Option{}
-	if record {
-		rec = trace.NewRecorder()
+	if rec != nil {
 		mopts = append(mopts, machine.WithRecorder(rec))
 	}
 	if opt.Attribution {
@@ -63,9 +59,6 @@ func runOne(spec workloads.Spec, opt Options, alloc machine.Allocator, record bo
 	m := machine.New(alloc, opt.Cache, mopts...)
 	spec.Program.Run(m, evalConfig(spec, opt))
 	res := RunResult{Strategy: alloc.Name(), Metrics: m.Finish(), Attrib: m.Attrib()}
-	if rec != nil {
-		res.Trace = rec.Trace()
-	}
 	reg := opt.Metrics
 	kv := append([]string{"benchmark", spec.Program.Name(), "run", alloc.Name()}, opt.Labels...)
 	switch a := alloc.(type) {
@@ -185,17 +178,17 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, root *ob
 	hotSet := baselines.HotSetOf(prof.Hot)
 
 	// Baseline.
-	cmp.Baseline = runOne(spec, opt, baselines.NewBaseline(cost), false, root)
+	cmp.Baseline = runOne(spec, opt, baselines.NewBaseline(cost), nil, root)
 	cmp.Events += cmp.Baseline.Metrics.Events()
 
 	// HDS baseline: sites from Sequitur streams, per the original work.
 	hdsSites := baselines.HDSSites(prof.Analysis, prof.StreamsSequitur)
-	cmp.HDS = runOne(spec, opt, baselines.NewHDS(hdsSites, hotSet, cost), false, root)
+	cmp.HDS = runOne(spec, opt, baselines.NewHDS(hdsSites, hotSet, cost), nil, root)
 	cmp.Events += cmp.HDS.Metrics.Events()
 
 	// HALO baseline: affinity-grouped allocation contexts.
 	haloCfg := baselines.PlanHALO(prof.Analysis, prof.Hot, prof.StreamsLCS)
-	cmp.HALO = runOne(spec, opt, baselines.NewHALO(haloCfg, hotSet, cost), false, root)
+	cmp.HALO = runOne(spec, opt, baselines.NewHALO(haloCfg, hotSet, cost), nil, root)
 	cmp.Events += cmp.HALO.Metrics.Events()
 
 	// PreFix variants.
@@ -227,7 +220,7 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, root *ob
 		}
 		cmp.Plans[v] = plan
 		cmp.Summaries[v] = sum
-		cmp.PreFix[v] = runOne(spec, opt, prefix.NewAllocator(plan, cost), false, root)
+		cmp.PreFix[v] = runOne(spec, opt, prefix.NewAllocator(plan, cost), nil, root)
 		cmp.Events += cmp.PreFix[v].Metrics.Events()
 	}
 
@@ -298,7 +291,7 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 		if perr != nil {
 			return nil, nil, 0, fmt.Errorf("pipeline: %s %v: %w", name, v, perr)
 		}
-		res := runOne(spec, selOpt, prefix.NewAllocator(plan, opt.Cache.Cost), false, root)
+		res := runOne(spec, selOpt, prefix.NewAllocator(plan, opt.Cache.Cost), nil, root)
 		sc.AddEvents(res.Metrics.Events())
 		if i == 0 || res.Metrics.Cycles < bestCycles {
 			bestCycles = res.Metrics.Cycles
@@ -308,10 +301,11 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 
 	recOpt := opt
 	recOpt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9")
-	baseRun := runOne(spec, recOpt, baselines.NewBaseline(opt.Cache.Cost), true, root)
-	optRun := runOne(spec, recOpt, prefix.NewAllocator(bestPlan, opt.Cache.Cost), true, root)
+	baseRec, optRec := trace.NewRecorder(), trace.NewRecorder()
+	baseRun := runOne(spec, recOpt, baselines.NewBaseline(opt.Cache.Cost), baseRec, root)
+	optRun := runOne(spec, recOpt, prefix.NewAllocator(bestPlan, opt.Cache.Cost), optRec, root)
 	sc.AddEvents(baseRun.Metrics.Events() + optRun.Metrics.Events())
-	return baseRun.Trace, optRun.Trace, bestVariant, nil
+	return baseRec.Trace(), optRec.Trace(), bestVariant, nil
 }
 
 // captureLongRun re-runs the best variant with tracing and analyzes what
@@ -320,9 +314,9 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 func captureLongRun(spec workloads.Spec, opt Options, plan *prefix.Plan, root *obs.Span) (*LongRunCapture, uint64, error) {
 	span := root.Child("long-run-capture")
 	defer span.End()
-	alloc := prefix.NewAllocator(plan, opt.Cache.Cost)
-	res := runOne(spec, opt, alloc, true, span)
-	a := trace.Analyze(res.Trace)
+	an := trace.NewAnalyzer()
+	res := runOne(spec, opt, prefix.NewAllocator(plan, opt.Cache.Cost), an, span)
+	a := an.Finish()
 	region := plan.Region()
 
 	cfg := opt.Plan

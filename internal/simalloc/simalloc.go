@@ -16,13 +16,20 @@
 //     phenomenon PreFix exists to fix;
 //   - the heap grows by extending a contiguous break (sbrk-style).
 //
+// The bookkeeping is dense, so steady-state malloc/free allocates no host
+// memory: blocks live in one slice and link their address-order
+// neighbours by index, a two-level table indexed by payload offset maps
+// an address to its block, and each bin is an address-ordered slice
+// edited in place. Host memory grows only with the peak block count, the
+// longest bin, and the break (one index leaf per 256 KiB of heap that
+// holds a block start).
+//
 // The allocator also tracks the statistics the evaluation needs: live
 // bytes, peak footprint (paper Table 6), and operation counts.
 package simalloc
 
 import (
 	"fmt"
-	"sort"
 
 	"prefix/internal/mem"
 	"prefix/internal/obs"
@@ -42,13 +49,37 @@ const (
 // 16-byte multiples up to 512 bytes, later bins are logarithmic.
 const numBins = 48
 
+// Address lookup. Block starts are at least HeaderSize+MinPayload = 32
+// bytes apart, so a payload's offset from the first possible payload,
+// shifted right by slotShift, is a slot no other block shares. Slots are
+// grouped in leaves of leafSlots entries (32 KiB, covering 256 KiB of
+// heap), created only where a block starts; the top level holds one
+// pointer per 256 KiB of break. A single huge block therefore costs 8
+// bytes of index per 256 KiB it spans (2 MiB for a 64 GiB block), not a
+// slot per 32 bytes.
+const (
+	slotShift = 5
+	leafBits  = 13
+	leafSlots = 1 << leafBits
+)
+
+// The slot scheme needs block starts at least 1<<slotShift bytes apart;
+// this constant fails to compile (negative uint) if that stops holding.
+const _ = uint(HeaderSize + MinPayload - 1<<slotShift)
+
+// leaf maps the slots of one 256 KiB span to block indices (0: none).
+type leaf [leafSlots]int32
+
 // block is an allocated or free region of the simulated heap.
 // Blocks partition the heap: every byte between heapStart and brk belongs
 // to exactly one block.
 type block struct {
 	addr mem.Addr // payload address
 	size uint64   // payload size (aligned)
-	free bool
+	// prev and next are the address-order neighbours' indices in
+	// Heap.blk (0: none). A recycled slot links the spare list by next.
+	prev, next int32
+	free       bool
 }
 
 // Heap is the simulated allocator. It is not safe for concurrent use; the
@@ -58,31 +89,38 @@ type Heap struct {
 	heapStart mem.Addr
 	brk       mem.Addr
 
-	// blocks maps payload address -> block, for O(1) free/realloc.
-	blocks map[mem.Addr]*block
-	// byStart is the address-ordered list of all blocks for neighbour
-	// coalescing; maps block start (addr) to the previous block's start.
-	next map[mem.Addr]mem.Addr
-	prev map[mem.Addr]mem.Addr
-	last mem.Addr // highest block start, NilAddr when heap empty
+	// blk holds every block; index 0 is a sentinel meaning "no block".
+	// Slots of blocks merged away are recycled through the spare list.
+	blk   []block
+	spare int32 // head of the recycled-slot list, 0 when empty
+	last  int32 // highest-addressed block, 0 when the heap is empty
+	// top[t] holds the slots t<<leafBits up to the next leaf; nil where
+	// no block has ever started.
+	top []*leaf
 
-	bins [numBins][]mem.Addr // address-ordered free lists
+	// bins hold free blocks' indices sorted by descending address, so
+	// the lowest-addressed block, the one first-fit takes, is removed
+	// from the end without moving the rest.
+	bins [numBins][]int32
 
 	stats Stats
 }
 
 // Stats summarizes allocator activity.
 type Stats struct {
-	Mallocs     uint64
-	Frees       uint64
-	Reallocs    uint64
-	LiveBytes   uint64 // payload bytes currently allocated
-	LiveBlocks  uint64
-	GrossBytes  uint64 // payload + header bytes inside the break
-	PeakBytes   uint64 // peak of GrossBytes: the paper's "peak memory"
-	BrkExtends  uint64
-	Coalesces   uint64
-	FailedFrees uint64 // frees of unknown addresses (always a caller bug)
+	Mallocs    uint64
+	Frees      uint64
+	Reallocs   uint64
+	LiveBytes  uint64 // payload bytes currently allocated
+	LiveBlocks uint64
+	GrossBytes uint64 // payload + header bytes inside the break
+	PeakBytes  uint64 // peak of GrossBytes: the paper's "peak memory"
+	BrkExtends uint64
+	Coalesces  uint64
+	// FailedFrees counts Free calls, and Realloc calls with a non-nil
+	// address, on an address that is not a live payload — never issued,
+	// or already freed. Always a caller bug.
+	FailedFrees uint64
 }
 
 // Fragmentation returns the share of the heap break not backing live
@@ -121,14 +159,7 @@ func New(base mem.Addr) *Heap {
 	if base == mem.NilAddr {
 		base = 0x10000
 	}
-	return &Heap{
-		heapStart: base,
-		brk:       base,
-		blocks:    make(map[mem.Addr]*block),
-		next:      make(map[mem.Addr]mem.Addr),
-		prev:      make(map[mem.Addr]mem.Addr),
-		last:      mem.NilAddr,
-	}
+	return &Heap{heapStart: base, brk: base, blk: make([]block, 1)}
 }
 
 // Base returns the lowest address the heap manages.
@@ -140,6 +171,9 @@ func (h *Heap) Brk() mem.Addr { return h.brk }
 // Stats returns a copy of the allocator statistics.
 func (h *Heap) Stats() Stats { return h.stats }
 
+// binFor returns the bin that files free blocks of the given size.
+//
+//prefix:hotpath
 func binFor(size uint64) int {
 	if size <= 512 {
 		b := int(size / 16)
@@ -161,22 +195,22 @@ func binFor(size uint64) int {
 // Malloc allocates size payload bytes and returns the payload address.
 // A size of zero allocates MinPayload bytes, matching common mallocs that
 // return distinct pointers for zero-byte requests.
+//
+//prefix:hotpath
 func (h *Heap) Malloc(size uint64) mem.Addr {
 	h.stats.Mallocs++
 	size = mem.AlignUp(maxU64(size, MinPayload), Alignment)
 
-	if a := h.takeFree(size); a != mem.NilAddr {
-		b := h.blocks[a]
+	if i := h.takeFree(size); i != 0 {
+		b := &h.blk[i]
 		h.stats.LiveBytes += b.size
 		h.stats.LiveBlocks++
-		return a
+		return b.addr
 	}
 
 	// Extend the break.
 	payload := h.brk + HeaderSize
-	b := &block{addr: payload, size: size}
-	h.blocks[payload] = b
-	h.linkAfter(h.last, payload)
+	h.linkAfter(h.last, h.newBlock(payload, size, false))
 	h.brk = payload + mem.Addr(size)
 	h.stats.BrkExtends++
 	h.stats.GrossBytes += size + HeaderSize
@@ -188,126 +222,144 @@ func (h *Heap) Malloc(size uint64) mem.Addr {
 	return payload
 }
 
-// takeFree pops the lowest-addressed free block that fits size, splitting
-// it when the remainder can hold another block.
-func (h *Heap) takeFree(size uint64) mem.Addr {
+// takeFree pops the lowest-addressed free block that fits size from the
+// first bin holding one, splitting it when the remainder can hold
+// another block. It returns the block's index, 0 when no free block fits.
+//
+//prefix:hotpath
+func (h *Heap) takeFree(size uint64) int32 {
 	for bin := binFor(size); bin < numBins; bin++ {
 		list := h.bins[bin]
-		for i, a := range list {
-			b := h.blocks[a]
-			if b == nil || !b.free {
-				continue // stale entry, cleaned below
-			}
-			if b.size < size {
+		for j := len(list) - 1; j >= 0; j-- {
+			i := list[j]
+			if h.blk[i].size < size {
 				continue
 			}
-			// Remove from bin.
-			h.bins[bin] = append(list[:i:i], list[i+1:]...)
+			copy(list[j:], list[j+1:])
+			h.bins[bin] = list[:len(list)-1]
+			b := &h.blk[i]
 			b.free = false
 			// Split if worthwhile.
 			if b.size >= size+HeaderSize+MinPayload {
-				remAddr := b.addr + mem.Addr(size) + HeaderSize
-				rem := &block{addr: remAddr, size: b.size - size - HeaderSize, free: true}
+				rem := b.size - size - HeaderSize
 				b.size = size
-				h.blocks[remAddr] = rem
-				h.linkAfter(b.addr, remAddr)
-				h.pushFree(rem)
+				h.linkAfter(i, h.newBlock(b.addr+mem.Addr(size)+HeaderSize, rem, true))
+				h.pushFree(h.blk[i].next)
 			}
-			return a
+			return i
 		}
 	}
-	return mem.NilAddr
+	return 0
 }
 
-func (h *Heap) pushFree(b *block) {
+// binPos returns where addr belongs in a bin sorted by descending
+// address: the number of entries above it.
+//
+//prefix:hotpath
+func (h *Heap) binPos(list []int32, addr mem.Addr) int {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.blk[list[m]].addr > addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// pushFree files free block i in its bin, keeping the bin address-ordered
+// so reuse is lowest-address-first, the behaviour that interleaves
+// recycled hot slots with cold data.
+//
+//prefix:hotpath
+func (h *Heap) pushFree(i int32) {
+	b := &h.blk[i]
 	bin := binFor(b.size)
-	// Keep the bin address-ordered so reuse is lowest-address-first, the
-	// behaviour that interleaves recycled hot slots with cold data.
 	list := h.bins[bin]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= b.addr })
+	k := h.binPos(list, b.addr)
+	//lint:ignore hotalloc amortized: a bin grows only past its longest length so far, then edits in place
 	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = b.addr
+	copy(list[k+1:], list[k:])
+	list[k] = i
 	h.bins[bin] = list
 }
 
-func (h *Heap) removeFree(a mem.Addr, size uint64) {
-	bin := binFor(size)
+// removeFree takes free block i out of its bin.
+//
+//prefix:hotpath
+func (h *Heap) removeFree(i int32) {
+	b := &h.blk[i]
+	bin := binFor(b.size)
 	list := h.bins[bin]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= a })
-	if i < len(list) && list[i] == a {
-		h.bins[bin] = append(list[:i:i], list[i+1:]...)
-	}
+	k := h.binPos(list, b.addr)
+	copy(list[k:], list[k+1:])
+	h.bins[bin] = list[:len(list)-1]
 }
 
 // Free releases the block at addr. Freeing an address the heap does not
 // own returns false (callers treat that as a bug in the workload).
+//
+//prefix:hotpath
 func (h *Heap) Free(addr mem.Addr) bool {
-	b := h.blocks[addr]
-	if b == nil || b.free {
+	i := h.lookup(addr)
+	if i == 0 || h.blk[i].free {
 		h.stats.FailedFrees++
 		return false
 	}
+	b := &h.blk[i]
 	h.stats.Frees++
 	h.stats.LiveBytes -= b.size
 	h.stats.LiveBlocks--
 	b.free = true
-	h.coalesce(b)
+	h.coalesce(i)
 	return true
 }
 
-// coalesce merges b with free neighbours and files the result in a bin.
-func (h *Heap) coalesce(b *block) {
-	// Merge with next neighbour(s).
-	for {
-		na, ok := h.next[b.addr]
-		if !ok {
-			break
-		}
-		nb := h.blocks[na]
-		if nb == nil || !nb.free {
-			break
-		}
-		h.removeFree(na, nb.size)
-		h.unlink(na)
-		delete(h.blocks, na)
-		b.size += nb.size + HeaderSize
+// coalesce merges block i with free neighbours and files the result in a
+// bin. No two neighbours are ever both free, so there is at most one
+// merge on each side.
+//
+//prefix:hotpath
+func (h *Heap) coalesce(i int32) {
+	if n := h.blk[i].next; n != 0 && h.blk[n].free {
+		h.removeFree(n)
+		h.blk[i].size += h.blk[n].size + HeaderSize
+		h.unlink(n)
 		h.stats.Coalesces++
 	}
-	// Merge into previous neighbour if free.
-	if pa, ok := h.prev[b.addr]; ok {
-		pb := h.blocks[pa]
-		if pb != nil && pb.free {
-			h.removeFree(pa, pb.size)
-			h.unlink(b.addr)
-			delete(h.blocks, b.addr)
-			pb.size += b.size + HeaderSize
-			h.stats.Coalesces++
-			h.pushFree(pb)
-			return
-		}
+	if p := h.blk[i].prev; p != 0 && h.blk[p].free {
+		h.removeFree(p)
+		h.blk[p].size += h.blk[i].size + HeaderSize
+		h.unlink(i)
+		h.stats.Coalesces++
+		h.pushFree(p)
+		return
 	}
-	h.pushFree(b)
+	h.pushFree(i)
 }
 
 // Realloc resizes the block at addr to newSize, returning the (possibly
 // moved) payload address and the number of payload bytes preserved. A nil
 // addr behaves like Malloc.
+//
+//prefix:hotpath
 func (h *Heap) Realloc(addr mem.Addr, newSize uint64) (mem.Addr, uint64) {
 	h.stats.Reallocs++
 	if addr == mem.NilAddr {
 		return h.Malloc(newSize), 0
 	}
-	b := h.blocks[addr]
-	if b == nil || b.free {
+	i := h.lookup(addr)
+	if i == 0 || h.blk[i].free {
 		h.stats.FailedFrees++
 		return h.Malloc(newSize), 0
 	}
 	newSize = mem.AlignUp(maxU64(newSize, MinPayload), Alignment)
-	if newSize <= b.size {
+	old := h.blk[i].size
+	if newSize <= old {
 		return addr, newSize // shrink in place (no block split for simplicity)
 	}
-	old := b.size
 	na := h.Malloc(newSize)
 	h.Free(addr)
 	return na, old
@@ -316,89 +368,176 @@ func (h *Heap) Realloc(addr mem.Addr, newSize uint64) (mem.Addr, uint64) {
 // SizeOf returns the payload size of the live block at addr, or 0 if addr
 // is not a live payload address.
 func (h *Heap) SizeOf(addr mem.Addr) uint64 {
-	b := h.blocks[addr]
-	if b == nil || b.free {
+	i := h.lookup(addr)
+	if i == 0 || h.blk[i].free {
 		return 0
 	}
-	return b.size
+	return h.blk[i].size
 }
 
 // Owns reports whether addr is a payload address the heap has ever issued
 // and that is currently live.
 func (h *Heap) Owns(addr mem.Addr) bool {
-	b := h.blocks[addr]
-	return b != nil && !b.free
+	i := h.lookup(addr)
+	return i != 0 && !h.blk[i].free
 }
 
-// linkAfter inserts block na after pa in address order (pa == NilAddr
-// appends at the very start when the heap is empty).
-func (h *Heap) linkAfter(pa, na mem.Addr) {
-	if pa == mem.NilAddr {
-		h.last = na
-		return
-	}
-	if n, ok := h.next[pa]; ok {
-		h.next[na] = n
-		h.prev[n] = na
-	}
-	h.next[pa] = na
-	h.prev[na] = pa
-	if pa == h.last {
-		h.last = na
-	}
+// slot returns the lookup slot of a payload address inside the break.
+//
+//prefix:hotpath
+func (h *Heap) slot(addr mem.Addr) uint64 {
+	return uint64(addr-h.heapStart-HeaderSize) >> slotShift
 }
 
-func (h *Heap) unlink(a mem.Addr) {
-	p, hasP := h.prev[a]
-	n, hasN := h.next[a]
-	if hasP && hasN {
-		h.next[p] = n
-		h.prev[n] = p
-	} else if hasP {
-		delete(h.next, p)
-		h.last = p
-	} else if hasN {
-		delete(h.prev, n)
+// lookup returns the index of the block whose payload starts at addr, or
+// 0 when no block does.
+//
+//prefix:hotpath
+func (h *Heap) lookup(addr mem.Addr) int32 {
+	if addr < h.heapStart+HeaderSize || addr >= h.brk {
+		return 0
 	}
-	delete(h.prev, a)
-	delete(h.next, a)
-	if h.last == a {
-		if hasP {
-			h.last = p
-		} else {
-			h.last = mem.NilAddr
+	s := h.slot(addr)
+	if t := s >> leafBits; t < uint64(len(h.top)) {
+		if l := h.top[t]; l != nil {
+			if i := l[s%leafSlots]; i != 0 && h.blk[i].addr == addr {
+				return i
+			}
 		}
 	}
+	return 0
+}
+
+// setSlot points addr's lookup slot at block i (0 clears it), creating
+// the slot's leaf on first use.
+//
+//prefix:hotpath
+func (h *Heap) setSlot(addr mem.Addr, i int32) {
+	s := h.slot(addr)
+	t := int(s >> leafBits)
+	if t >= cap(h.top) {
+		// Grow by hand: append(s, make(...)...) can build the extension
+		// as a temporary, doubling what a huge jump in the break costs.
+		//lint:ignore hotalloc amortized: the top level grows only with the break
+		top := make([]*leaf, t+1, max(t+1, 2*cap(h.top)))
+		copy(top, h.top)
+		h.top = top
+	} else if t >= len(h.top) {
+		h.top = h.top[:t+1]
+	}
+	l := h.top[t]
+	if l == nil {
+		//lint:ignore hotalloc one leaf per 256 KiB span that ever holds a block start, never freed
+		l = new(leaf)
+		h.top[t] = l
+	}
+	l[s%leafSlots] = i
+}
+
+// newBlock stores a new unlinked block, reusing a recycled slot when
+// there is one, indexes it, and returns its index.
+//
+//prefix:hotpath
+func (h *Heap) newBlock(addr mem.Addr, size uint64, free bool) int32 {
+	i := h.spare
+	if i != 0 {
+		h.spare = h.blk[i].next
+	} else {
+		i = int32(len(h.blk))
+		//lint:ignore hotalloc amortized: slots are recycled, so blk grows only past the peak block count
+		h.blk = append(h.blk, block{})
+	}
+	h.blk[i] = block{addr: addr, size: size, free: free}
+	h.setSlot(addr, i)
+	return i
+}
+
+// linkAfter inserts block i after block p in address order (p == 0 when
+// the heap is empty).
+//
+//prefix:hotpath
+func (h *Heap) linkAfter(p, i int32) {
+	if p == 0 {
+		h.last = i
+		return
+	}
+	n := h.blk[p].next
+	h.blk[i].prev, h.blk[i].next = p, n
+	h.blk[p].next = i
+	if n != 0 {
+		h.blk[n].prev = i
+	} else {
+		h.last = i
+	}
+}
+
+// unlink removes block i, just merged into a neighbour, from the address
+// order and the index, and recycles its slot.
+//
+//prefix:hotpath
+func (h *Heap) unlink(i int32) {
+	b := h.blk[i]
+	if b.prev != 0 {
+		h.blk[b.prev].next = b.next
+	}
+	if b.next != 0 {
+		h.blk[b.next].prev = b.prev
+	} else {
+		h.last = b.prev
+	}
+	h.setSlot(b.addr, 0)
+	h.blk[i] = block{next: h.spare}
+	h.spare = i
 }
 
 // CheckInvariants validates internal consistency; tests call it after
 // randomized operation sequences. It returns an error describing the first
-// violation found.
+// violation found. It checks that
+//
+//   - the blocks, linked in address order, tile [heapStart, brk) exactly,
+//     with prev and next links mutually consistent;
+//   - no two neighbouring blocks are both free;
+//   - live bytes, live blocks and gross bytes match Stats;
+//   - the index maps exactly the block starts, each to its own block;
+//   - every free block is filed exactly once, in bin binFor(size), and
+//     every bin is sorted by address and holds only free blocks.
 func (h *Heap) CheckInvariants() error {
-	// Walk address order, ensure blocks tile [heapStart, brk) exactly.
-	var walk []mem.Addr
-	for a := range h.blocks {
-		walk = append(walk, a)
-	}
-	sort.Slice(walk, func(i, j int) bool { return walk[i] < walk[j] })
-	cursor := h.heapStart
-	var live, liveBlocks uint64
-	for _, a := range walk {
-		b := h.blocks[a]
-		if a != cursor+HeaderSize {
-			return fmt.Errorf("simalloc: block %v does not start at cursor %v+header", a, cursor)
+	// Walk down from the last block: each block must end where its
+	// successor's header starts.
+	cursor := h.brk
+	var live, liveBlocks, nblocks, nfree uint64
+	next := int32(0)
+	for i := h.last; i != 0; next, i = i, h.blk[i].prev {
+		b := &h.blk[i]
+		nblocks++
+		if nblocks >= uint64(len(h.blk)) {
+			return fmt.Errorf("simalloc: block list has a cycle")
 		}
-		if !mem.IsAligned(uint64(a), Alignment) {
-			return fmt.Errorf("simalloc: block %v misaligned", a)
+		if b.next != next {
+			return fmt.Errorf("simalloc: block %v links next %d, want %d", b.addr, b.next, next)
 		}
-		if !b.free {
+		if b.addr+mem.Addr(b.size) != cursor {
+			return fmt.Errorf("simalloc: block %v+%d does not end at %v", b.addr, b.size, cursor)
+		}
+		if !mem.IsAligned(uint64(b.addr), Alignment) {
+			return fmt.Errorf("simalloc: block %v misaligned", b.addr)
+		}
+		if h.lookup(b.addr) != i {
+			return fmt.Errorf("simalloc: index does not map block %v to itself", b.addr)
+		}
+		if b.free {
+			nfree++
+			if next != 0 && h.blk[next].free {
+				return fmt.Errorf("simalloc: neighbouring blocks %v and %v are both free", b.addr, h.blk[next].addr)
+			}
+		} else {
 			live += b.size
 			liveBlocks++
 		}
-		cursor = a + mem.Addr(b.size)
+		cursor = b.addr - HeaderSize
 	}
-	if cursor != h.brk {
-		return fmt.Errorf("simalloc: blocks end at %v, brk is %v", cursor, h.brk)
+	if cursor != h.heapStart {
+		return fmt.Errorf("simalloc: blocks start at %v, heap at %v", cursor, h.heapStart)
 	}
 	if live != h.stats.LiveBytes {
 		return fmt.Errorf("simalloc: live bytes %d != stats %d", live, h.stats.LiveBytes)
@@ -406,27 +545,63 @@ func (h *Heap) CheckInvariants() error {
 	if liveBlocks != h.stats.LiveBlocks {
 		return fmt.Errorf("simalloc: live blocks %d != stats %d", liveBlocks, h.stats.LiveBlocks)
 	}
-	// No free block may appear twice across bins, and all bin entries must
-	// reference live free blocks.
-	seen := make(map[mem.Addr]bool)
-	for bin, list := range h.bins {
-		for _, a := range list {
-			b := h.blocks[a]
-			if b == nil {
-				return fmt.Errorf("simalloc: bin %d holds deleted block %v", bin, a)
-			}
-			if !b.free {
-				return fmt.Errorf("simalloc: bin %d holds allocated block %v", bin, a)
-			}
-			if seen[a] {
-				return fmt.Errorf("simalloc: block %v filed twice", a)
-			}
-			seen[a] = true
+	if gross := uint64(h.brk - h.heapStart); gross != h.stats.GrossBytes {
+		return fmt.Errorf("simalloc: break spans %d bytes, stats gross %d", gross, h.stats.GrossBytes)
+	}
+	var spare uint64
+	for i := h.spare; i != 0; i = h.blk[i].next {
+		if spare++; spare >= uint64(len(h.blk)) {
+			return fmt.Errorf("simalloc: spare list has a cycle")
 		}
+	}
+	if nblocks+spare+1 != uint64(len(h.blk)) {
+		return fmt.Errorf("simalloc: %d linked + %d spare slots, %d allocated", nblocks, spare, len(h.blk)-1)
+	}
+	var slots uint64
+	for _, l := range h.top {
+		if l == nil {
+			continue
+		}
+		for _, i := range l {
+			if i != 0 {
+				slots++
+			}
+		}
+	}
+	if slots != nblocks {
+		return fmt.Errorf("simalloc: index holds %d entries for %d blocks", slots, nblocks)
+	}
+	// Every entry is a free block of the bin's class, in strictly
+	// descending address order, so no block is filed twice; matching the
+	// free-block count means none is missing.
+	var filed uint64
+	for bin, list := range h.bins {
+		for k, i := range list {
+			if i <= 0 || int(i) >= len(h.blk) {
+				return fmt.Errorf("simalloc: bin %d holds bad index %d", bin, i)
+			}
+			b := &h.blk[i]
+			if !b.free {
+				return fmt.Errorf("simalloc: bin %d holds allocated or recycled block %v", bin, b.addr)
+			}
+			if binFor(b.size) != bin {
+				return fmt.Errorf("simalloc: block %v of size %d filed in bin %d, want %d", b.addr, b.size, bin, binFor(b.size))
+			}
+			if k > 0 && h.blk[list[k-1]].addr <= b.addr {
+				return fmt.Errorf("simalloc: bin %d out of address order at %v", bin, b.addr)
+			}
+			filed++
+		}
+	}
+	if filed != nfree {
+		return fmt.Errorf("simalloc: %d free blocks, %d filed in bins", nfree, filed)
 	}
 	return nil
 }
 
+// maxU64 returns the larger of a and b.
+//
+//prefix:hotpath
 func maxU64(a, b uint64) uint64 {
 	if a > b {
 		return a

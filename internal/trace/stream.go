@@ -61,8 +61,9 @@ type Source interface {
 
 // EventRecorder is the write interface the machine layer feeds during a
 // profiled run: the machine batches its events and hands each batch
-// over in one call. *Recorder (in-memory) and *SpillRecorder (bounded
-// memory) both implement it.
+// over in one call. *Recorder (in-memory), *SpillRecorder (bounded
+// memory) and *Analyzer (analysis as the run goes, no trace kept)
+// implement it.
 type EventRecorder interface {
 	// RecordBatch appends evs, in trace order. The recorder must not
 	// retain evs; the caller reuses its storage.
@@ -76,7 +77,8 @@ type EventRecorder interface {
 // fixed-size chunks were spilled to the backing writer (always zero for
 // the in-memory recorder), and PeakBufferedEvents the largest number of
 // events simultaneously buffered in memory — the whole trace for the
-// in-memory recorder, at most one chunk for the spilling one.
+// in-memory recorder, at most one chunk for the spilling one, none for
+// the analyzer.
 type RecorderStats struct {
 	Events             uint64
 	Chunks             uint64
@@ -119,6 +121,7 @@ func (s *sliceSource) Instr() uint64 { return s.t.Instr }
 var (
 	_ EventRecorder = (*Recorder)(nil)
 	_ EventRecorder = (*SpillRecorder)(nil)
+	_ EventRecorder = (*Analyzer)(nil)
 )
 
 // --- Chunked stream writer --------------------------------------------
@@ -556,7 +559,7 @@ func AnalyzeSource(src Source) (*Analysis, error) {
 	if err := src.Err(); err != nil {
 		return nil, err
 	}
-	an.SetInstr(src.Instr())
+	an.AddInstr(src.Instr())
 	return an.Finish(), nil
 }
 

@@ -150,7 +150,8 @@ type Analysis struct {
 // Analyzer reconstructs objects and the reference string incrementally:
 // Feed it every event in trace order, then Finish. Analyze and
 // AnalyzeSource are both built on it, so the in-memory and streaming
-// paths produce identical results by construction.
+// paths produce identical results by construction. It is also an
+// EventRecorder, so a machine can feed it directly while it runs.
 type Analyzer struct {
 	a *Analysis
 	// idx maps live address intervals -> objects for containment
@@ -263,8 +264,22 @@ func (an *Analyzer) newRefChunk() {
 	an.refAt = make([]int, 0, n)
 }
 
-// SetInstr records the traced run's dynamic instruction count.
-func (an *Analyzer) SetInstr(n uint64) { an.a.Instr = n }
+// RecordBatch implements EventRecorder: the analyzer consumes each batch
+// as the machine records it, so a run that is only analyzed never builds
+// its event slice.
+func (an *Analyzer) RecordBatch(evs []Event) {
+	for i := range evs {
+		an.Feed(evs[i])
+	}
+}
+
+// AddInstr implements EventRecorder, accumulating the run's dynamic
+// instruction count.
+func (an *Analyzer) AddInstr(n uint64) { an.a.Instr += n }
+
+// Stats reports what the analyzer consumed as a recorder: Events is the
+// number of events fed. It buffers none, so the peak is zero.
+func (an *Analyzer) Stats() RecorderStats { return RecorderStats{Events: uint64(an.i)} }
 
 // Finish returns the completed analysis. The analyzer must not be fed
 // after.
@@ -283,7 +298,7 @@ func Analyze(t *Trace) *Analysis {
 	for _, ev := range t.Events {
 		an.Feed(ev)
 	}
-	an.SetInstr(t.Instr)
+	an.AddInstr(t.Instr)
 	return an.Finish()
 }
 
