@@ -8,7 +8,7 @@ GO ?= go
 # benchmarks at reduced scale through the worker pool.
 SMOKE_ARGS = -scale bench -jobs 4 -only table3 -bench mcf,health
 
-.PHONY: check fmt vet lint lint-perf build test test-short race bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory perf-smoke explain-smoke fuzz-smoke clean
+.PHONY: check fmt vet lint lint-perf build test test-short race bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory perf-smoke explain-smoke fuzz-smoke loc clean
 
 check: fmt vet lint build race
 
@@ -104,9 +104,10 @@ perf-smoke:
 	$(MAKE) bench-gate
 
 # Short fuzzing pass over the untrusted-input decoder (FuzzRead: the
-# trace container readers must agree and fail closed), the analyzer's
-# interval index (FuzzIntervalIndex: blocked index = sorted-slice
-# oracle), the LCS kernel (FuzzLCS: bit-parallel kernel =
+# one trace reader, materializing and streaming, must agree, fail
+# closed with a "trace: " error, and re-encode what it accepts), the
+# analyzer's interval index (FuzzIntervalIndex: blocked index =
+# sorted-slice oracle), the LCS kernel (FuzzLCS: bit-parallel kernel =
 # dynamic-programming oracle) and the heap allocator (FuzzHeap: dense
 # heap = map-based oracle, invariants after every op). Override
 # FUZZTIME for a longer run.
@@ -143,6 +144,11 @@ explain-smoke:
 		-ledger-dir explain-out | tee explain-out/explain.txt
 	@grep -q "best variant" explain-out/explain.txt || \
 		{ echo "explain-smoke: prefix-explain produced no explanation"; exit 1; }
+
+# Non-test Go lines of the root module (perfbench/ is its own module),
+# the count each change reports its line delta in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -10,10 +10,11 @@
 //	prefix-analyze -trace mcf.trace -ledger mcf.ledger.json  # record every decision
 //	prefix-analyze -trace mcf.trace -trace-out phases.json -metrics-out plan.prom
 //
-// Every trace container version is accepted: the classic header-counted
-// file and the chunked stream prefix-trace -stream writes. The analysis
-// decodes straight off the file without materializing the event slice,
-// so traces far larger than memory are fine.
+// The trace is the chunked file prefix-trace writes; files of the
+// retired container versions 1 and 3 are rejected with a request to
+// re-record them. The analysis decodes straight off the file without
+// materializing the event slice, so traces far larger than memory are
+// fine.
 package main
 
 import (

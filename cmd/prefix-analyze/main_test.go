@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,10 +17,13 @@ import (
 	"prefix/internal/workloads"
 )
 
-// writeTraces records bench's profiling run as prefix-trace does and
-// writes it twice: as a classic version-1 file and as a chunked
-// version-3 stream with small chunks. It returns both paths.
-func writeTraces(t *testing.T, bench string) (classic, chunked string) {
+// chunkSizes are the chunk sizes the differential test records at:
+// one event per chunk, a small chunk, and the default (0).
+var chunkSizes = []int{1, 4096, 0}
+
+// writeTraces records bench's profiling run as prefix-trace does, once
+// per chunk size, and returns the file paths in chunkSizes order.
+func writeTraces(t *testing.T, bench string) []string {
 	t.Helper()
 	spec, err := workloads.Get(bench)
 	if err != nil {
@@ -32,38 +36,35 @@ func writeTraces(t *testing.T, bench string) (classic, chunked string) {
 	tr := rec.Trace()
 
 	dir := t.TempDir()
-	classic = filepath.Join(dir, bench+".v1.pfxt")
-	chunked = filepath.Join(dir, bench+".v3.pfxt")
-	var v1 bytes.Buffer
-	if err := tr.Write(&v1); err != nil {
-		t.Fatal(err)
+	var paths []string
+	for _, chunk := range chunkSizes {
+		var buf bytes.Buffer
+		spill, err := trace.NewSpillRecorder(&buf, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spill.RecordBatch(tr.Events)
+		spill.AddInstr(tr.Instr)
+		if err := spill.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if chunk == 4096 && spill.Stats().Chunks < 2 {
+			t.Fatalf("%s profile fits in %d chunk(s); the check needs several", bench, spill.Stats().Chunks)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("%s.chunk%d.pfxt", bench, chunk))
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
 	}
-	var v3 bytes.Buffer
-	spill, err := trace.NewSpillRecorder(&v3, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spill.RecordBatch(tr.Events)
-	spill.AddInstr(tr.Instr)
-	if err := spill.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if spill.Stats().Chunks < 2 {
-		t.Fatalf("%s profile fits in %d chunk(s); the check needs several", bench, spill.Stats().Chunks)
-	}
-	if err := os.WriteFile(classic, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(chunked, v3.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return classic, chunked
+	return paths
 }
 
-// TestRunContainerVersionsIdentical: the same run written as a classic
-// and as a chunked trace yields byte-identical plan and ledger JSON.
+// TestRunContainerVersionsIdentical: the same run recorded at chunk
+// sizes 1, 4096 and the default yields byte-identical plan and ledger
+// JSON.
 func TestRunContainerVersionsIdentical(t *testing.T) {
-	classic, chunked := writeTraces(t, "ft")
+	paths := writeTraces(t, "ft")
 	dir := t.TempDir()
 	outputs := func(name, tracePath string) (plan, ledger []byte) {
 		planPath := filepath.Join(dir, name+".plan.json")
@@ -85,13 +86,16 @@ func TestRunContainerVersionsIdentical(t *testing.T) {
 		}
 		return plan, ledger
 	}
-	plan1, ledger1 := outputs("v1", classic)
-	plan3, ledger3 := outputs("v3", chunked)
-	if !bytes.Equal(plan1, plan3) {
-		t.Error("plan JSON differs between the classic and the chunked trace")
-	}
-	if !bytes.Equal(ledger1, ledger3) {
-		t.Error("ledger JSON differs between the classic and the chunked trace")
+	plan1, ledger1 := outputs("chunk1", paths[0])
+	for i, path := range paths[1:] {
+		chunk := chunkSizes[i+1]
+		plan, ledger := outputs(fmt.Sprintf("chunk%d", chunk), path)
+		if !bytes.Equal(plan1, plan) {
+			t.Errorf("plan JSON differs between chunk sizes 1 and %d", chunk)
+		}
+		if !bytes.Equal(ledger1, ledger) {
+			t.Errorf("ledger JSON differs between chunk sizes 1 and %d", chunk)
+		}
 	}
 	plan, err := core.ReadJSON(bytes.NewReader(plan1))
 	if err != nil {
@@ -103,7 +107,7 @@ func TestRunContainerVersionsIdentical(t *testing.T) {
 
 	// Without -o the plan goes to stdout, byte for byte.
 	var stdout bytes.Buffer
-	if err := run([]string{"-trace", chunked, "-bench", "ft"}, &stdout); err != nil {
+	if err := run([]string{"-trace", paths[len(paths)-1], "-bench", "ft"}, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stdout.Bytes(), plan1) {

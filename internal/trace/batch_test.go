@@ -6,39 +6,6 @@ import (
 	"testing"
 )
 
-// TestAppendBatchByteParity: AppendBatch must produce byte-identical
-// output to event-at-a-time Append for every batch/chunk alignment —
-// including batches that span chunk boundaries — because the delta
-// encoder state is continuous across both paths.
-func TestAppendBatchByteParity(t *testing.T) {
-	tr := record()
-	want := writeChunked(t, tr, 5) // per-event reference bytes
-
-	for _, batch := range []int{1, 2, 3, 7, len(tr.Events)} {
-		var buf bytes.Buffer
-		sw, err := NewStreamWriter(&buf, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(tr.Events); i += batch {
-			end := i + batch
-			if end > len(tr.Events) {
-				end = len(tr.Events)
-			}
-			if err := sw.AppendBatch(tr.Events[i:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sw.SetInstr(tr.Instr)
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("batch size %d: encoded bytes differ from per-event Append", batch)
-		}
-	}
-}
-
 // TestRecorderRecordBatch: the in-memory recorder's bulk path must be
 // indistinguishable from the per-event methods.
 func TestRecorderRecordBatch(t *testing.T) {

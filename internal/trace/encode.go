@@ -9,65 +9,46 @@ import (
 	"prefix/internal/mem"
 )
 
-// Binary trace file format (all integers unsigned varints):
+// Binary trace file format (all integers unsigned varints): a chunked
+// stream, so a file is produced and consumed incrementally and both ends
+// hold one chunk at most.
 //
-//	magic "PFXT" | version=1 | instr | eventCount | events...
+//	magic "PFXT" | version=2 | chunkSize |
+//	  chunk*: eventCount (1..chunkSize) | events... |
+//	  terminator: 0 | instr
 //
 // Each event starts with a tag byte (Kind, with the high bit carrying the
 // Write flag for accesses) followed by kind-specific fields. Addresses are
 // delta-encoded against the previous address of the same kind to keep files
-// compact — profiling traces reach tens of millions of events.
+// compact — profiling traces reach tens of millions of events. The delta
+// state runs continuously across chunk boundaries. The instruction count
+// sits in the terminator because a recorder only learns it when the run
+// finishes.
 //
-// Version 2 is the chunked stream container (see stream.go); it frames
-// the same event encoding into fixed-size chunks so it can be produced
-// and consumed incrementally. Version 3 keeps the chunk framing and
-// additionally stamps every chunk frame with its encoded byte length and
-// the delta-decoder state at the chunk's first event, which the reader
-// cross-checks against its own running state. Read accepts all three
-// versions.
+// SpillRecorder is the only writer. Versions 1 (a header-counted file)
+// and 3 (version 2 with indexed chunk frames for a parallel decoder) are
+// no longer read: traces are deterministic in their benchmark, scale and
+// seed, so an old file is rejected with a request to re-record it.
 const (
-	magic          = "PFXT"
-	version        = 1
-	versionChunked = 2
-	versionIndexed = 3
+	magic   = "PFXT"
+	version = 2
 )
 
-// maxEventEncodedBytes bounds one encoded event: tag byte plus at most
-// four 10-byte varints (address delta, site/old-address, stack/new-
-// address, size). The stream reader uses it to reject chunk frames whose
-// declared byte length could not possibly hold the declared event count.
-const maxEventEncodedBytes = 1 + 4*binary.MaxVarintLen64
-
 // maxPreallocEvents caps how many Events Read preallocates from the
-// untrusted header count: a corrupt or hostile file can claim 2⁶⁴
-// events, so the initial allocation is bounded and the slice grows only
-// as real events actually decode.
+// untrusted declared chunk size: a corrupt or hostile file can claim
+// 2⁶⁴ events per chunk, so the initial allocation is bounded and the
+// slice grows only as real events actually decode.
 const maxPreallocEvents = 1 << 16
 
-// byteWriter is what the event encoder needs from its destination; both
-// *bufio.Writer (classic Write) and *bytes.Buffer (chunk staging)
-// satisfy it.
-type byteWriter interface {
-	io.Writer
-	io.ByteWriter
-}
-
-// eventEncoder encodes events with per-kind address delta compression.
-// Its state must run continuously over the whole stream (chunk framing
-// does not reset it).
+// eventEncoder appends events to buf with per-kind address delta
+// compression. Its state must run continuously over the whole stream
+// (chunk framing does not reset it).
 type eventEncoder struct {
-	w        byteWriter
+	buf      []byte
 	prevAddr [5]uint64 // previous address per kind, for delta encoding
-	buf      [binary.MaxVarintLen64]byte
 }
 
-func (e *eventEncoder) putUvarint(v uint64) error {
-	n := binary.PutUvarint(e.buf[:], v)
-	_, err := e.w.Write(e.buf[:n])
-	return err
-}
-
-// encode writes one event.
+// encode appends one event.
 func (e *eventEncoder) encode(ev Event) error {
 	if ev.Kind < KindAlloc || ev.Kind > KindAccess {
 		return fmt.Errorf("trace: cannot encode event of kind %d", ev.Kind)
@@ -76,45 +57,50 @@ func (e *eventEncoder) encode(ev Event) error {
 	if ev.Kind == KindAccess && ev.Write {
 		tag |= 0x80
 	}
-	if err := e.w.WriteByte(tag); err != nil {
-		return err
-	}
 	delta := uint64(ev.Addr) - e.prevAddr[ev.Kind]
 	e.prevAddr[ev.Kind] = uint64(ev.Addr)
-	if err := e.putUvarint(zigzag(delta)); err != nil {
-		return err
-	}
+	b := binary.AppendUvarint(append(e.buf, tag), zigzag(delta))
 	switch ev.Kind {
 	case KindAlloc:
-		if err := e.putUvarint(uint64(ev.Site)); err != nil {
-			return err
-		}
-		if err := e.putUvarint(uint64(ev.Stack)); err != nil {
-			return err
-		}
-		return e.putUvarint(ev.Size)
+		b = binary.AppendUvarint(b, uint64(ev.Site))
+		b = binary.AppendUvarint(b, uint64(ev.Stack))
+		b = binary.AppendUvarint(b, ev.Size)
 	case KindRealloc:
-		if err := e.putUvarint(uint64(ev.Addr2)); err != nil {
-			return err
-		}
-		return e.putUvarint(ev.Size)
+		b = binary.AppendUvarint(b, uint64(ev.Addr2))
+		b = binary.AppendUvarint(b, ev.Size)
 	case KindAccess:
-		return e.putUvarint(ev.Size)
+		b = binary.AppendUvarint(b, ev.Size)
 	}
-	return nil // KindFree: address only
+	// KindFree: address only.
+	e.buf = b
+	return nil
 }
 
-// eventDecoder mirrors eventEncoder; i is the running event index, used
-// only for error messages.
+// eventDecoder mirrors eventEncoder. err latches the first failed field
+// read, so decode checks once per event.
 type eventDecoder struct {
 	br       *bufio.Reader
 	prevAddr [5]uint64
+	err      error
 }
 
+func (d *eventDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(d.br)
+	d.err = err
+	return v
+}
+
+// decode reads one event; i is the running event index, used only for
+// error messages. Every event sits inside a chunk that declared it, so
+// running out of bytes is truncation (io.ErrUnexpectedEOF), never a
+// clean end.
 func (d *eventDecoder) decode(i uint64) (Event, error) {
 	tag, err := d.br.ReadByte()
 	if err != nil {
-		return Event{}, fmt.Errorf("trace: event %d: %w", i, err)
+		return Event{}, fmt.Errorf("trace: event %d: %w", i, truncated(err))
 	}
 	var ev Event
 	ev.Kind = Kind(tag & 0x7f)
@@ -122,72 +108,42 @@ func (d *eventDecoder) decode(i uint64) (Event, error) {
 		return Event{}, fmt.Errorf("trace: event %d: bad kind %d", i, ev.Kind)
 	}
 	ev.Write = tag&0x80 != 0
-	zd, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return Event{}, err
+	if ev.Write && ev.Kind != KindAccess {
+		// The encoder sets the flag on accesses only.
+		return Event{}, fmt.Errorf("trace: event %d: write flag on kind %d", i, ev.Kind)
 	}
-	d.prevAddr[ev.Kind] += unzigzag(zd)
+	d.prevAddr[ev.Kind] += unzigzag(d.uvarint())
 	ev.Addr = mem.Addr(d.prevAddr[ev.Kind])
 	switch ev.Kind {
 	case KindAlloc:
-		site, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return Event{}, err
-		}
-		ev.Site = mem.SiteID(site)
-		stack, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return Event{}, err
-		}
-		ev.Stack = mem.StackSig(stack)
-		if ev.Size, err = binary.ReadUvarint(d.br); err != nil {
-			return Event{}, err
-		}
+		ev.Site = mem.SiteID(d.uvarint())
+		ev.Stack = mem.StackSig(d.uvarint())
+		ev.Size = d.uvarint()
 	case KindRealloc:
-		a2, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return Event{}, err
-		}
-		ev.Addr2 = mem.Addr(a2)
-		if ev.Size, err = binary.ReadUvarint(d.br); err != nil {
-			return Event{}, err
-		}
+		ev.Addr2 = mem.Addr(d.uvarint())
+		ev.Size = d.uvarint()
 	case KindAccess:
-		if ev.Size, err = binary.ReadUvarint(d.br); err != nil {
-			return Event{}, err
-		}
+		ev.Size = d.uvarint()
+	}
+	if d.err != nil {
+		return Event{}, fmt.Errorf("trace: event %d: %w", i, truncated(d.err))
 	}
 	return ev, nil
 }
 
-// Write serializes the trace in the classic version-1 layout.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
+// truncated maps a clean io.EOF inside a header, frame or event to
+// io.ErrUnexpectedEOF: a trace ends only at its terminator, so a decode
+// error must never read as end-of-stream.
+func truncated(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	if err := writeUvarint(bw, version); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, t.Instr); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, uint64(len(t.Events))); err != nil {
-		return err
-	}
-	enc := eventEncoder{w: bw}
-	for _, ev := range t.Events {
-		if err := enc.encode(ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return err
 }
 
-// Read materializes a trace file written by Write or by a StreamWriter
-// (both container versions). It is the in-memory convenience over
-// NewStreamReader; use the stream reader directly to stay within a
-// bounded event buffer.
+// Read materializes a trace file written by a SpillRecorder. It is the
+// in-memory convenience over NewStreamReader; use the stream reader
+// directly to stay within a bounded event buffer.
 func Read(r io.Reader) (*Trace, error) {
 	sr, err := NewStreamReader(r)
 	if err != nil {

@@ -2,60 +2,32 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
-// Malformed version-3 seeds of FuzzRead, also asserted rejected by
-// TestMalformedFrameSeedsRejected.
-var (
-	badHandoffFrame = []byte("PFXT\x030\x01\x030000\x02\x800\x000")
-	shortChunkFrame = []byte("PFXT\x030\x030\x00\x00\x00\x00\x04\x8000\x010\xc000\x880\x02\x800\x000")
-)
-
 // FuzzRead throws arbitrary bytes at the trace decoders: neither may
-// panic, anything accepted must re-encode losslessly, and the streaming
-// reader must agree with the materializing Read on every input — same
-// events in the same order, or an error on both sides.
+// panic, every rejection must name the trace layer, anything accepted
+// must re-encode losslessly through the SpillRecorder, and the
+// streaming reader must agree with the materializing Read on every
+// input — same events in the same order, or an error on both sides.
 func FuzzRead(f *testing.F) {
-	// Seed with valid traces in both container versions and a few
-	// corruptions of them.
-	var buf bytes.Buffer
-	if err := record().Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := writeChunked(f, record(), 4)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("PFXT"))
-	if len(valid) > 8 {
-		truncated := append([]byte(nil), valid[:len(valid)/2]...)
-		f.Add(truncated)
-		flipped := append([]byte(nil), valid...)
-		flipped[len(flipped)/2] ^= 0xff
-		f.Add(flipped)
-	}
-	// Chunked-container seeds: a valid stream and a truncated chunk.
-	var chunked bytes.Buffer
-	sw, err := NewStreamWriter(&chunked, 4)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, ev := range record().Events {
-		if err := sw.Append(ev); err != nil {
-			f.Fatal(err)
-		}
-	}
-	sw.SetInstr(record().Instr)
-	if err := sw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(chunked.Bytes())
-	f.Add(append([]byte(nil), chunked.Bytes()[:chunked.Len()-6]...))
-	// Malformed version-3 frames: the first carries a handoff that does
-	// not match the decoder state (rejected); the second declares a
-	// chunk byte length its events do not fill (rejected).
-	f.Add(badHandoffFrame)
-	f.Add(shortChunkFrame)
+	f.Add(append([]byte(nil), valid[:len(valid)/2]...)) // truncated
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0xff
+	f.Add(flipped)
+	// A chunk over its declared size: the header declares 2 events per
+	// chunk, the first frame claims 3.
+	oversized := writeChunked(f, record(), 2)
+	oversized[len(magic)+2] = 3
+	f.Add(oversized)
+	f.Add(v1File)
+	f.Add(v3File)
+	f.Add(writeChunked(f, record(), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
@@ -80,7 +52,14 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("decoder disagreement: Read err=%v, stream err=%v", err, srErr)
 		}
 		if err != nil {
-			return // rejecting garbage is fine, as long as both reject
+			// Rejecting garbage is fine, as long as both reject and
+			// say where the error comes from.
+			for _, e := range []error{err, srErr} {
+				if !strings.HasPrefix(e.Error(), "trace: ") {
+					t.Fatalf("rejection %q does not start with \"trace: \"", e)
+				}
+			}
+			return
 		}
 		if len(streamed) != len(tr.Events) || instr != tr.Instr {
 			t.Fatalf("stream decoded %d events (instr %d), Read %d (instr %d)",
@@ -93,16 +72,17 @@ func FuzzRead(f *testing.F) {
 		}
 
 		// Anything accepted must survive a re-encode roundtrip.
-		var out bytes.Buffer
-		if err := tr.Write(&out); err != nil {
-			t.Fatalf("accepted trace failed to re-encode: %v", err)
-		}
-		tr2, err := Read(&out)
+		tr2, err := Read(bytes.NewReader(writeChunked(t, tr, 3)))
 		if err != nil {
 			t.Fatalf("re-encoded trace rejected: %v", err)
 		}
-		if len(tr2.Events) != len(tr.Events) || tr2.Instr != tr.Instr {
+		if tr2.Instr != tr.Instr || len(tr2.Events) != len(tr.Events) {
 			t.Fatal("re-encode roundtrip lost events")
+		}
+		for i := range tr.Events {
+			if tr2.Events[i] != tr.Events[i] {
+				t.Fatalf("event %d: re-encoded %+v, accepted %+v", i, tr2.Events[i], tr.Events[i])
+			}
 		}
 	})
 }

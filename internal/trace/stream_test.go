@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,29 +33,25 @@ func drain(t *testing.T, src Source) []Event {
 	return evs
 }
 
-// writeChunked streams tr through a StreamWriter with the given chunk
+// writeChunked records tr through a SpillRecorder with the given chunk
 // size and returns the encoded bytes.
-func writeChunked(t *testing.T, tr *Trace, chunkEvents int) []byte {
+func writeChunked(t testing.TB, tr *Trace, chunkEvents int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf, chunkEvents)
+	sp, err := NewSpillRecorder(&buf, chunkEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range tr.Events {
-		if err := sw.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sw.SetInstr(tr.Instr)
-	if err := sw.Close(); err != nil {
+	sp.RecordBatch(tr.Events)
+	sp.AddInstr(tr.Instr)
+	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 func TestStreamRoundtripChunkSizes(t *testing.T) {
-	tr := record() // 12 events
+	tr := record() // 11 events
 	for _, chunk := range []int{1, 3, 4, 12, 100} {
 		data := writeChunked(t, tr, chunk)
 		sr, err := NewStreamReader(bytes.NewReader(data))
@@ -74,26 +72,27 @@ func TestStreamRoundtripChunkSizes(t *testing.T) {
 	}
 }
 
+// TestStreamWriterStats: the spill recorder counts what it wrote, in
+// chunk frames of at most its chunk size.
 func TestStreamWriterStats(t *testing.T) {
 	tr := record()
-	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf, 5)
+	sp, err := NewSpillRecorder(io.Discard, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range tr.Events {
-		if err := sw.Append(ev); err != nil {
-			t.Fatal(err)
-		}
+	sp.RecordBatch(tr.Events[:7])
+	if s := sp.Stats(); s.Chunks != 1 || s.PeakBufferedEvents != 5 {
+		t.Errorf("mid-run stats = %+v, want 1 chunk spilled and a peak of 5", s)
 	}
-	if err := sw.Close(); err != nil {
+	sp.RecordBatch(tr.Events[7:])
+	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s := sw.Stats()
+	s := sp.Stats()
 	if s.Events != uint64(len(tr.Events)) {
 		t.Errorf("Events = %d, want %d", s.Events, len(tr.Events))
 	}
-	if s.Chunks != 3 { // 12 events at chunk size 5 -> 5+5+2
+	if s.Chunks != 3 { // 11 events at chunk size 5 -> 5+5+1
 		t.Errorf("Chunks = %d, want 3", s.Chunks)
 	}
 	if s.PeakBufferedEvents != 5 {
@@ -126,24 +125,6 @@ func TestReadAcceptsChunkedFormat(t *testing.T) {
 	}
 }
 
-func TestStreamReaderClassicFormat(t *testing.T) {
-	tr := record()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := NewStreamReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Instr() != tr.Instr { // v1 carries instr in the header
-		t.Errorf("instr = %d, want %d", sr.Instr(), tr.Instr)
-	}
-	if got := drain(t, sr); !reflect.DeepEqual(got, tr.Events) {
-		t.Fatal("classic decode through StreamReader differs")
-	}
-}
-
 func TestStreamTruncatedChunk(t *testing.T) {
 	data := writeChunked(t, record(), 4)
 	sr, err := NewStreamReader(bytes.NewReader(data[:len(data)-6]))
@@ -163,15 +144,7 @@ func TestStreamTruncatedChunk(t *testing.T) {
 func TestStreamOverlongChunkHeaderRejected(t *testing.T) {
 	// A chunk claiming more events than the declared chunk size is
 	// corrupt and must fail without trusting the count.
-	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := writeChunked(t, &Trace{}, 2)
 	// Header is "PFXT" + version varint + chunkSize varint; splice in a
 	// bogus chunk frame claiming 100 events (one varint byte).
 	head := data[:len(magic)+2]
@@ -188,12 +161,15 @@ func TestStreamOverlongChunkHeaderRejected(t *testing.T) {
 	}
 }
 
-// TestTraceSourceSink: the in-memory Source replays the trace, and a
+// TestTraceSourceSink: a stream reader replays a trace file, and a
 // Recorder fed from it records the same trace.
 func TestTraceSourceSink(t *testing.T) {
 	tr := record()
 	sink := NewRecorder()
-	src := tr.Source()
+	src, err := NewStreamReader(bytes.NewReader(writeChunked(t, tr, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for {
 		ev, ok := src.Next()
 		if !ok {
@@ -277,15 +253,6 @@ func TestSpillRecorderLatchesWriteError(t *testing.T) {
 func TestAnalyzeSourceMatchesAnalyze(t *testing.T) {
 	tr := record()
 	want := Analyze(tr)
-
-	fromSlice, err := AnalyzeSource(tr.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromSlice, want) {
-		t.Fatal("AnalyzeSource(slice) differs from Analyze")
-	}
-
 	sr, err := NewStreamReader(bytes.NewReader(writeChunked(t, tr, 4)))
 	if err != nil {
 		t.Fatal(err)
@@ -441,63 +408,6 @@ func TestAnalyzeSourceMatchesAnalyzeRandom(t *testing.T) {
 	}
 }
 
-// TestStreamHandoffMismatchRejected corrupts the recorded decoder
-// handoff of a second chunk; the serial reader cross-checks it against
-// its own running state and must fail.
-func TestStreamHandoffMismatchRejected(t *testing.T) {
-	data := writeChunked(t, record(), 4) // 12 events -> 3 chunks
-	// Walk to the second chunk frame: header = magic + version +
-	// chunkSize, then frame 1 = n | byteLen | 4 handoff varints |
-	// payload.
-	br := bytes.NewReader(data)
-	head := make([]byte, len(magic))
-	if _, err := br.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := binary.ReadUvarint(br); err != nil { // version
-		t.Fatal(err)
-	}
-	if _, err := binary.ReadUvarint(br); err != nil { // chunkSize
-		t.Fatal(err)
-	}
-	n, err := binary.ReadUvarint(br) // frame 1 event count
-	if err != nil || n != 4 {
-		t.Fatalf("frame 1 count = %d, %v", n, err)
-	}
-	byteLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := binary.ReadUvarint(br); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// br now sits at frame 1's payload; frame 2's first handoff varint
-	// lives right after payload + count + byteLen varints.
-	off := len(data) - br.Len() + int(byteLen)
-	rest := bytes.NewReader(data[off:])
-	if _, err := binary.ReadUvarint(rest); err != nil { // frame 2 count
-		t.Fatal(err)
-	}
-	if _, err := binary.ReadUvarint(rest); err != nil { // frame 2 byteLen
-		t.Fatal(err)
-	}
-	handoffOff := off + (len(data) - off - rest.Len())
-	corrupt := append([]byte(nil), data...)
-	corrupt[handoffOff] ^= 0x01 // flip the low bit of prevAddr[Alloc]
-
-	sr, err := NewStreamReader(bytes.NewReader(corrupt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AnalyzeSource(sr); err == nil {
-		t.Fatal("serial reader accepted a corrupted chunk handoff")
-	} else if !bytes.Contains([]byte(err.Error()), []byte("handoff")) {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
 // TestStreamBoundedMemoryLargeTrace is the acceptance check for the
 // streaming pipeline: a >10M-event run recorded through the spill
 // recorder must keep the peak trace buffer at one chunk, and the
@@ -572,50 +482,6 @@ func TestStreamBoundedMemoryLargeTrace(t *testing.T) {
 	}
 }
 
-// TestMalformedFrameSeedsRejected: both malformed version-3 FuzzRead
-// seeds fail closed, in Read and in the streaming reader alike.
-func TestMalformedFrameSeedsRejected(t *testing.T) {
-	for name, data := range map[string][]byte{"bad handoff": badHandoffFrame, "short chunk": shortChunkFrame} {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: Read accepted the frame", name)
-		}
-		if err := drainStream(data); err == nil {
-			t.Errorf("%s: StreamReader accepted the frame", name)
-		}
-	}
-}
-
-// TestStreamChunkLengthMismatchRejected rewrites the first chunk's
-// declared byte length one byte short and one byte long: its events no
-// longer fill the frame exactly, so both readers must fail.
-func TestStreamChunkLengthMismatchRejected(t *testing.T) {
-	data := writeChunked(t, record(), 4)
-	br := bytes.NewReader(data[len(magic):])
-	for i := 0; i < 3; i++ { // version, chunkSize, frame 1 event count
-		if _, err := binary.ReadUvarint(br); err != nil {
-			t.Fatal(err)
-		}
-	}
-	off := len(data) - br.Len()
-	byteLen, err := binary.ReadUvarint(br)
-	if err != nil || byteLen < 2 || byteLen > 126 {
-		t.Fatalf("frame 1 byte length %d (%v) is not a one-byte varint", byteLen, err)
-	}
-	for _, delta := range []int{-1, 1} {
-		bad := append([]byte(nil), data...)
-		bad[off] = byte(int(byteLen) + delta)
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Errorf("byte length %+d: Read accepted the file", delta)
-		}
-		if err := drainStream(bad); err == nil {
-			t.Errorf("byte length %+d: StreamReader accepted the file", delta)
-		}
-	}
-	if err := drainStream(data); err != nil {
-		t.Fatalf("unmodified file rejected: %v", err)
-	}
-}
-
 // drainStream reads every event of data through a StreamReader and
 // returns its error.
 func drainStream(data []byte) error {
@@ -626,6 +492,59 @@ func drainStream(data []byte) error {
 	for {
 		if _, ok := sr.Next(); !ok {
 			return sr.Err()
+		}
+	}
+}
+
+// TestTruncatedStreamErrors cuts a multi-chunk stream at every byte
+// offset. Every cut must fail in both readers with an error that names
+// the trace layer and never reads as a clean end of stream.
+func TestTruncatedStreamErrors(t *testing.T) {
+	data := writeChunked(t, record(), 4) // 11 events -> 3 chunks
+	check := func(reader string, off int, err error) {
+		t.Helper()
+		switch {
+		case err == nil:
+			t.Errorf("cut at %d/%d: %s accepted the truncated stream", off, len(data), reader)
+		case !strings.HasPrefix(err.Error(), "trace: "):
+			t.Errorf("cut at %d: %s error %q does not start with \"trace: \"", off, reader, err)
+		case errors.Is(err, io.EOF):
+			t.Errorf("cut at %d: %s error %q is io.EOF", off, reader, err)
+		}
+	}
+	for off := 0; off < len(data); off++ {
+		_, err := Read(bytes.NewReader(data[:off]))
+		check("Read", off, err)
+		check("StreamReader", off, drainStream(data[:off]))
+	}
+}
+
+// Old container versions, also FuzzRead seeds: a one-event version-1
+// file (header-counted) and an empty version-3 stream (indexed frames).
+var (
+	v1File = []byte("PFXT\x01\x05\x01\x02\x00")
+	v3File = []byte("PFXT\x03\x04\x00\x05")
+)
+
+// TestOldContainerVersionsRejected: version-1 and version-3 files fail
+// closed with a request to re-record them, in both readers.
+func TestOldContainerVersionsRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data []byte
+		ver  int
+	}{
+		{"v1", v1File, 1},
+		{"v3", v3File, 3},
+		// The committed FuzzRead corpus entry, a doctored version-1 file.
+		{"corpus 8b22636f30d637d9", []byte("PFXT\x01\t\xc9\xc9\xc9\xc9\xc9\v"), 1},
+	} {
+		want := fmt.Sprintf("trace: container version %d is no longer supported; re-record with prefix-trace", c.ver)
+		if _, err := Read(bytes.NewReader(c.data)); err == nil || err.Error() != want {
+			t.Errorf("%s: Read err = %v, want %q", c.name, err, want)
+		}
+		if err := drainStream(c.data); err == nil || err.Error() != want {
+			t.Errorf("%s: StreamReader err = %v, want %q", c.name, err, want)
 		}
 	}
 }

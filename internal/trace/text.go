@@ -6,74 +6,65 @@ import (
 	"io"
 )
 
-// WriteText dumps the trace in a line-per-event human-readable form, the
-// equivalent of DrCacheSim's text view. Intended for debugging and small
-// traces; the binary format is the interchange format.
+// TextRecorder is an EventRecorder that writes each event as one line of
+// text as it is recorded, the equivalent of DrCacheSim's text view.
+// Intended for debugging and small traces; the binary format is the
+// interchange format. The event and instruction totals are only known
+// when the run ends, so they close the dump:
 //
-//	alloc   site=3 stack=0x1f addr=0x12340 size=64
-//	access  addr=0x12340 size=8 read
-//	realloc old=0x12340 new=0x99000 size=128
-//	free    addr=0x99000
-func (t *Trace) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# trace: %d events, %d instructions\n", len(t.Events), t.Instr)
-	for i, ev := range t.Events {
+//	       0 alloc   site=3 stack=0x1f addr=0x12340 size=64
+//	       1 access  addr=0x12340 size=8 read
+//	       2 realloc old=0x12340 new=0x99000 size=128
+//	       3 free    addr=0x99000
+//	# trace: 4 events, 9 instructions
+//
+// A write error is latched by the buffered writer and returned by Close.
+type TextRecorder struct {
+	w     *bufio.Writer
+	n     uint64
+	instr uint64
+}
+
+// NewTextRecorder starts a text dump on w.
+func NewTextRecorder(w io.Writer) *TextRecorder {
+	return &TextRecorder{w: bufio.NewWriter(w)}
+}
+
+// RecordBatch implements EventRecorder.
+func (r *TextRecorder) RecordBatch(evs []Event) {
+	for _, ev := range evs {
 		switch ev.Kind {
 		case KindAlloc:
-			fmt.Fprintf(bw, "%8d alloc   site=%d stack=%#x addr=%#x size=%d\n",
-				i, ev.Site, uint64(ev.Stack), uint64(ev.Addr), ev.Size)
+			fmt.Fprintf(r.w, "%8d alloc   site=%d stack=%#x addr=%#x size=%d\n",
+				r.n, ev.Site, uint64(ev.Stack), uint64(ev.Addr), ev.Size)
 		case KindFree:
-			fmt.Fprintf(bw, "%8d free    addr=%#x\n", i, uint64(ev.Addr))
+			fmt.Fprintf(r.w, "%8d free    addr=%#x\n", r.n, uint64(ev.Addr))
 		case KindRealloc:
-			fmt.Fprintf(bw, "%8d realloc old=%#x new=%#x size=%d\n",
-				i, uint64(ev.Addr), uint64(ev.Addr2), ev.Size)
+			fmt.Fprintf(r.w, "%8d realloc old=%#x new=%#x size=%d\n",
+				r.n, uint64(ev.Addr), uint64(ev.Addr2), ev.Size)
 		case KindAccess:
 			rw := "read"
 			if ev.Write {
 				rw = "write"
 			}
-			fmt.Fprintf(bw, "%8d access  addr=%#x size=%d %s\n",
-				i, uint64(ev.Addr), ev.Size, rw)
+			fmt.Fprintf(r.w, "%8d access  addr=%#x size=%d %s\n",
+				r.n, uint64(ev.Addr), ev.Size, rw)
 		default:
-			fmt.Fprintf(bw, "%8d ?kind=%d\n", i, ev.Kind)
+			fmt.Fprintf(r.w, "%8d ?kind=%d\n", r.n, ev.Kind)
 		}
+		r.n++
 	}
-	return bw.Flush()
 }
 
-// Stats summarizes a trace for quick inspection.
-type Stats struct {
-	Events   int
-	Allocs   uint64
-	Frees    uint64
-	Reallocs uint64
-	Accesses uint64
-	Writes   uint64
-	Bytes    uint64 // total bytes allocated
-	Sites    int    // distinct malloc sites
+// AddInstr implements EventRecorder.
+func (r *TextRecorder) AddInstr(n uint64) { r.instr += n }
+
+// Close writes the totals line and flushes the dump.
+func (r *TextRecorder) Close() error {
+	fmt.Fprintf(r.w, "# trace: %d events, %d instructions\n", r.n, r.instr)
+	return r.w.Flush()
 }
 
-// Summarize computes trace statistics in one pass.
-func (t *Trace) Summarize() Stats {
-	s := Stats{Events: len(t.Events)}
-	sites := make(map[uint32]bool)
-	for _, ev := range t.Events {
-		switch ev.Kind {
-		case KindAlloc:
-			s.Allocs++
-			s.Bytes += ev.Size
-			sites[uint32(ev.Site)] = true
-		case KindFree:
-			s.Frees++
-		case KindRealloc:
-			s.Reallocs++
-		case KindAccess:
-			s.Accesses++
-			if ev.Write {
-				s.Writes++
-			}
-		}
-	}
-	s.Sites = len(sites)
-	return s
-}
+// Stats reports the events written. Lines go straight to the buffered
+// writer, so no event is ever held.
+func (r *TextRecorder) Stats() RecorderStats { return RecorderStats{Events: r.n} }

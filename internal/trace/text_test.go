@@ -2,47 +2,36 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
 func TestWriteText(t *testing.T) {
 	tr := record()
 	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
+	r := NewTextRecorder(&buf)
+	r.RecordBatch(tr.Events[:5]) // event indexes continue across batches
+	r.RecordBatch(tr.Events[5:])
+	r.AddInstr(tr.Instr)
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"alloc", "free", "realloc", "access", "read", "write", "site=1", "site=2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text dump missing %q:\n%s", want, out)
-		}
+	const want = `       0 alloc   site=1 stack=0xabc addr=0x1000 size=64
+       1 access  addr=0x1000 size=8 read
+       2 access  addr=0x1020 size=8 write
+       3 alloc   site=1 stack=0xabc addr=0x2000 size=32
+       4 alloc   site=2 stack=0xdef addr=0x3000 size=16
+       5 access  addr=0x2000 size=8 read
+       6 free    addr=0x1000
+       7 alloc   site=2 stack=0xdef addr=0x1000 size=48
+       8 access  addr=0x1000 size=8 read
+       9 realloc old=0x3000 new=0x4000 size=128
+      10 access  addr=0x4000 size=8 write
+# trace: 11 events, 1234 instructions
+`
+	if got := buf.String(); got != want {
+		t.Errorf("text dump:\n%s\nwant:\n%s", got, want)
 	}
-	if lines := strings.Count(out, "\n"); lines != len(tr.Events)+1 {
-		t.Errorf("lines = %d, want %d (events + header)", lines, len(tr.Events)+1)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := record().Summarize()
-	if s.Allocs != 4 || s.Frees != 1 || s.Reallocs != 1 || s.Accesses != 5 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.Writes != 2 {
-		t.Errorf("writes = %d, want 2", s.Writes)
-	}
-	if s.Sites != 2 {
-		t.Errorf("sites = %d, want 2", s.Sites)
-	}
-	if s.Bytes != 64+32+16+48 {
-		t.Errorf("bytes = %d", s.Bytes)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	var tr Trace
-	s := tr.Summarize()
-	if s.Events != 0 || s.Allocs != 0 || s.Sites != 0 {
-		t.Errorf("empty stats = %+v", s)
+	if s := r.Stats(); s.Events != uint64(len(tr.Events)) {
+		t.Errorf("Stats().Events = %d, want %d", s.Events, len(tr.Events))
 	}
 }

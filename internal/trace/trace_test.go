@@ -133,11 +133,7 @@ func TestObjectLookupBounds(t *testing.T) {
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	tr := record()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(writeChunked(t, tr, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,41 +147,45 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
-func TestDecodeDoctoredEventCount(t *testing.T) {
-	// A header may claim any event count — it is untrusted input. A
-	// doctored count of 2^40 followed by a truncated body must fail
-	// cleanly without preallocating the claimed amount.
+// doctoredHeader returns a version-2 header declaring chunkSize.
+func doctoredHeader(chunkSize uint64) *bytes.Buffer {
 	var buf bytes.Buffer
 	buf.WriteString(magic)
-	w := func(v uint64) {
-		var tmp [binary.MaxVarintLen64]byte
-		buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-	}
-	w(version) // version
-	w(0)       // instr
-	w(1 << 40) // eventCount: absurd
+	buf.Write(binary.AppendUvarint(nil, version))
+	buf.Write(binary.AppendUvarint(nil, chunkSize))
+	return &buf
+}
+
+func TestDecodeDoctoredEventCount(t *testing.T) {
+	// A chunk frame may claim any event count up to the declared chunk
+	// size — both are untrusted input. A doctored chunk of 2^40 events
+	// followed by a truncated body must fail cleanly without
+	// preallocating the claimed amount.
+	buf := doctoredHeader(1 << 40)
+	buf.Write(binary.AppendUvarint(nil, 1<<40)) // eventCount: absurd
 	buf.WriteByte(byte(KindFree))
 	buf.WriteByte(0) // one real event, then EOF
-	tr, err := Read(&buf)
+	tr, err := Read(buf)
 	if err == nil {
 		t.Fatalf("doctored header accepted: %d events", len(tr.Events))
 	}
 }
 
+// TestDecodeDoctoredCountBoundsPrealloc: Read preallocates for one
+// declared chunk, capped so a hostile chunk size of 2^63 cannot drive
+// the allocation.
 func TestDecodeDoctoredCountBoundsPrealloc(t *testing.T) {
-	var buf bytes.Buffer
-	if err := record().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+	sr, err := NewStreamReader(bytes.NewReader(writeChunked(t, record(), 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sr.capHint(); got != len(record().Events) {
-		t.Errorf("capHint = %d, want declared count %d", got, len(record().Events))
+	if got := sr.capHint(); got != 5 {
+		t.Errorf("capHint = %d, want the declared chunk size 5", got)
 	}
-	// Forge a reader with a hostile declared count; the hint must cap.
-	sr.declared = 1 << 40
+	sr, err = NewStreamReader(doctoredHeader(1 << 63))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := sr.capHint(); got != maxPreallocEvents {
 		t.Errorf("capHint = %d, want cap %d", got, maxPreallocEvents)
 	}
@@ -229,11 +229,7 @@ func TestEncodeDecodeRandomTraces(t *testing.T) {
 			}
 		}
 		tr := r.Trace()
-		var buf bytes.Buffer
-		if tr.Write(&buf) != nil {
-			return false
-		}
-		got, err := Read(&buf)
+		got, err := Read(bytes.NewReader(writeChunked(t, tr, 16)))
 		if err != nil || len(got.Events) != len(tr.Events) {
 			return false
 		}

@@ -175,7 +175,7 @@ type (
 	// TraceSource is a pull iterator over an event stream.
 	TraceSource = trace.Source
 	// EventRecorder is the recorder interface a tracing machine feeds;
-	// *Recorder and *SpillRecorder both implement it.
+	// *Recorder, *SpillRecorder and *TraceAnalyzer implement it.
 	EventRecorder = trace.EventRecorder
 	// SpillRecorder records a profiling run within a bounded event
 	// budget, spilling chunks to a backing writer.
@@ -196,8 +196,8 @@ func NewSpillRecorder(w io.Writer, chunkEvents int) (*SpillRecorder, error) {
 }
 
 // OpenTraceStream returns a pull iterator over a trace file written by
-// Trace.Write or a spill recorder, decoding incrementally so the trace
-// is never materialized.
+// a spill recorder (as prefix-trace writes it), decoding incrementally
+// so the trace is never materialized.
 func OpenTraceStream(r io.Reader) (TraceSource, error) { return trace.NewStreamReader(r) }
 
 // Analyze reconstructs dynamic objects and the reference string from a
